@@ -24,11 +24,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bicharacter import basis_vector, commutation_exponent, pairing, vector_add
-from .operators import derive, sigma
+from .operators import derive_key, sigma
 from .qspace import Element, monomial_key_mul, monomial_str, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar, format_term, join_terms
-from .tensors import Tensor
+from .tensors import SpaceSparse, Tensor, collect, expansion
 
 
 def push_coeff_right(f: Element, i: int) -> Element:
@@ -61,7 +61,8 @@ def _wedge_sort(indices):
 
 
 def form_key_mul(key1, key2):
-    """Merge two form keys (wedge, alpha); None when the wedge collapses.
+    """Merge two form keys (wedge, alpha) to (sign, k, key); None when the
+    wedge collapses.
 
     (dx_W1 x^a1)(dx_W2 x^a2) = dx_W1 ^ dx_W2 sigma_W2(x^a1) x^a2 where
     sigma_W2 scales by the commutation factor of a1 against sum of e_j, j in W2.
@@ -77,45 +78,42 @@ def form_key_mul(key1, key2):
     for j in w2:
         move[j - 1] += 1
     exponent = q_exp + commutation_exponent(a1, tuple(move)) + pairing(a1, a2)
-    return LaurentScalar.q_power(exponent, sign), (wedge, vector_add(a1, a2))
+    return sign, exponent, (wedge, vector_add(a1, a2))
 
 
-class Form:
-    """A graded exterior-algebra element: map {wedge tuple: Element} with the
-    algebra coefficients on the right of the dx block."""
+class Form(SpaceSparse):
+    """A graded exterior-algebra element: a sum of dx_W x^a with the algebra
+    coefficient on the right of the dx block.
 
-    __slots__ = ("n", "terms")
+    terms maps form keys (wedge, alpha), wedge strictly increasing, to
+    nonzero LaurentScalar coefficients.  The constructor takes the grouped
+    shape {wedge: Element}.
+    """
 
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
-        clean: dict[tuple[int, ...], Element] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for wedge, coeff in items:
-                wedge = tuple(wedge)
-                if any(not 1 <= i <= n for i in wedge):
-                    raise ValueError(f"wedge indices {list(wedge)} out of range 1..{n}")
-                if any(a >= b for a, b in zip(wedge, wedge[1:])):
-                    raise ValueError(f"wedge indices must be strictly increasing, got {list(wedge)}")
-                if not isinstance(coeff, Element):
-                    raise TypeError("form coefficients must be Elements")
-                if coeff.n != n:
-                    raise ValueError(f"dimension mismatch: {coeff.n} != {n}")
-                if not coeff:
-                    continue
-                prev = clean.get(wedge)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    clean[wedge] = coeff
-                else:
-                    clean.pop(wedge, None)
-        self.terms = clean
+    __slots__ = ()
+    _merge = staticmethod(form_key_mul)
 
-    @classmethod
-    def zero(cls, n: int) -> "Form":
-        return cls(n)
+    def _collect_items(self, terms) -> dict:
+        """Flatten and sum the (wedge, Element) items of a dict or iterable."""
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        return collect(pair for wedge, coeff in items for pair in self._flatten(wedge, coeff))
+
+    def _flatten(self, wedge, coeff):
+        """The flat terms of dx_wedge coeff, after validating both."""
+        n = self.n
+        wedge = tuple(wedge)
+        if any(not 1 <= i <= n for i in wedge):
+            raise ValueError(f"wedge indices {list(wedge)} out of range 1..{n}")
+        if any(a >= b for a, b in zip(wedge, wedge[1:])):
+            raise ValueError(f"wedge indices must be strictly increasing, got {list(wedge)}")
+        if not isinstance(coeff, Element):
+            raise TypeError("form coefficients must be Elements")
+        if coeff.n != n:
+            raise ValueError(f"dimension mismatch: {coeff.n} != {n}")
+        return [((wedge, alpha), c) for alpha, c in coeff.terms.items()]
+
+    def _unit_key(self):
+        return (), (0,) * self.n
 
     @classmethod
     def from_element(cls, f: Element) -> "Form":
@@ -131,104 +129,39 @@ class Form:
     def monomial(cls, n: int, wedge, coeff: Element) -> "Form":
         return cls(n, {tuple(wedge): coeff})
 
-    def _check_dim(self, other: "Form") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        self._check_dim(other)
-        out = dict(self.terms)
-        for wedge, coeff in other.terms.items():
-            s = out.get(wedge)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[wedge] = s
-            else:
-                out.pop(wedge, None)
-        result = Form.__new__(Form)
-        result.n, result.terms = self.n, out
-        return result
-
-    def __neg__(self):
-        result = Form.__new__(Form)
-        result.n = self.n
-        result.terms = {w: -c for w, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "Form":
-        return Form(self.n, {w: c.scale(coeff) for w, c in self.terms.items()})
-
     def __mul__(self, other):
         """Wedge/module product.  Right-multiplying by an Element multiplies
         the coefficients; multiplying two forms wedges the dx blocks, moving
         left coefficients through via sigma."""
         if isinstance(other, Element):
             other = Form.from_element(other)
-        if isinstance(other, Form):
-            self._check_dim(other)
-            out: dict[tuple[int, ...], Element] = {}
-            for w1, f1 in self.terms.items():
-                for a1, c1 in f1.terms.items():
-                    for w2, f2 in other.terms.items():
-                        for a2, c2 in f2.terms.items():
-                            res = form_key_mul((w1, a1), (w2, a2))
-                            if res is None:
-                                continue
-                            scalar, (wedge, alpha) = res
-                            add = Element(self.n, {alpha: c1 * c2 * scalar})
-                            if not add:
-                                continue
-                            prev = out.get(wedge)
-                            total = add if prev is None else prev + add
-                            if total:
-                                out[wedge] = total
-                            else:
-                                out.pop(wedge, None)
-            result = Form.__new__(Form)
-            result.n, result.terms = self.n, out
-            return result
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def __rmul__(self, other):
         # Element * Form is left multiplication: push through the dx block.
         if isinstance(other, Element):
             return Form.from_element(other) * self
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return super().__rmul__(other)
 
     def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
-    def component(self, degree: int) -> "Form":
-        return Form(self.n, {w: c for w, c in self.terms.items() if len(w) == degree})
+        return sorted({len(wedge) for wedge, _ in self.terms})
 
     def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max((len(wedge) for wedge, _ in self.terms), default=0)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
+    def coefficient(self, wedge) -> Element:
+        """The Element f for which dx_wedge f is the wedge part of this form."""
+        wedge = tuple(wedge)
+        return Element(self.n)._like({alpha: c for (w, alpha), c in self.terms.items() if w == wedge})
+
+    def components(self):
+        """(wedge, Element coefficient) pairs, by degree and then by wedge."""
+        wedges = sorted({wedge for wedge, _ in self.terms}, key=lambda w: (len(w), w))
+        return [(wedge, self.coefficient(wedge)) for wedge in wedges]
 
     def __str__(self) -> str:
         parts = []
-        for wedge, coeff in self.sorted_terms():
+        for wedge, coeff in self.components():
             if not wedge:
                 for alpha, c in coeff.sorted_terms():
                     parts.append(format_term(c, monomial_str(alpha)))
@@ -245,15 +178,12 @@ class Form:
                 parts.append((False, f"{body} * ({coeff})"))
         return join_terms(parts)
 
-    def __repr__(self) -> str:
-        return f"Form(n={self.n}, {self})"
-
     def to_json(self):
         return {
             "n": self.n,
             "terms": [
                 {"wedge": list(wedge), "coeff": coeff.to_json()}
-                for wedge, coeff in self.sorted_terms()
+                for wedge, coeff in self.components()
             ],
         }
 
@@ -270,16 +200,13 @@ class Form:
 # Exterior differential
 
 def _d_monomial(n: int, alpha):
-    """d(x^alpha) as a list of (scalar, form key) with one dx_i per slot."""
+    """d(x^alpha) as key-map triples (a_i, k, ((i,), alpha - e_i)), one per dx_i."""
     out = []
     for i in range(1, n + 1):
-        a_i = alpha[i - 1]
-        if a_i == 0:
-            continue
-        e_i = basis_vector(n, i)
-        abar = alpha[: i - 1] + (0,) * (n - i + 1)
-        scalar = LaurentScalar.q_power(commutation_exponent(abar, e_i), a_i)
-        out.append((scalar, ((i,), tuple(a - b for a, b in zip(alpha, e_i)))))
+        mapped = derive_key(i, basis_vector(n, i), alpha)
+        if mapped is not None:
+            c, k, key = mapped
+            out.append((c, k, ((i,), key)))
     return out
 
 
@@ -290,158 +217,93 @@ def exterior_d(u) -> Form:
         u = Form.from_element(u)
     if not isinstance(u, Form):
         raise TypeError(f"exterior_d expects Form or Element, got {type(u).__name__}")
-    n = u.n
-    out = Form.zero(n)
-    for wedge, coeff in u.terms.items():
-        sign = -1 if len(wedge) % 2 else 1
-        block = Form.monomial(n, wedge, Element.one(n)) if wedge else None
-        df = Form.zero(n)
-        for alpha, c in coeff.terms.items():
-            for scalar, (w, a) in _d_monomial(n, alpha):
-                df = df + Form.monomial(n, w, Element(n, {a: c * scalar}))
-        if block is None:
-            out = out + df
-        else:
-            out = out + (block * df).scale(LaurentScalar.q_power(0, sign))
-    return out
+    zero = (0,) * u.n
+
+    def pairs():
+        for (wedge, alpha), coeff in u.terms.items():
+            sign = -1 if len(wedge) % 2 else 1
+            for c, k, key in _d_monomial(u.n, alpha):
+                merged = form_key_mul((wedge, zero), key)
+                if merged is not None:
+                    c2, k2, key2 = merged
+                    yield key2, coeff.shift(sign * c * c2, k + k2)
+    return u._like(collect(pairs()))
 
 
 # ---------------------------------------------------------------------------
-# Coactions (first-order scope: form degree <= 1)
+# Coactions (first-order scope: form degree <= 1).  The right coaction puts
+# the form in slot 0 and the algebra in slot 1; the left one the other way.
+
+def _with_form_slot(form_slot: int, form, other) -> tuple:
+    return (form, other) if form_slot == 0 else (other, form)
+
+
+def _coaction_muls(form_slot: int) -> tuple:
+    return _with_form_slot(form_slot, form_key_mul, monomial_key_mul)
+
 
 def _embed_coproduct(n: int, alpha, form_slot: int) -> Tensor:
-    """The coproduct of x^alpha with one leg viewed as a degree-0 form."""
+    """The coproduct of x^alpha with the leg in form_slot viewed as a degree-0 form."""
     from .hopf import _monomial_coproduct
 
-    t = _monomial_coproduct(n, alpha)
-    muls = [monomial_key_mul, monomial_key_mul]
-    muls[form_slot] = form_key_mul
-    terms = {}
-    for (a, b), coeff in t.terms.items():
-        if form_slot == 0:
-            terms[(((), a), b)] = coeff
-        else:
-            terms[(a, ((), b))] = coeff
-    return Tensor(tuple(muls), terms)
+    return Tensor(_coaction_muls(form_slot), {
+        _with_form_slot(form_slot, ((), keys[form_slot]), keys[1 - form_slot]): c
+        for keys, c in _monomial_coproduct(n, alpha).terms.items()})
 
 
 @lru_cache(maxsize=None)
-def _delta_right_generator(n: int, i: int) -> Tensor:
-    """(d x id) applied to the coproduct of x_i: a (form, algebra) tensor."""
+def _coaction_generator(n: int, i: int, form_slot: int) -> Tensor:
+    """d applied to the form_slot leg of the coproduct of x_i: (d x id) D(x_i)
+    for the right coaction, (id x d) D(x_i) for the left one."""
     from .hopf import _monomial_coproduct
 
-    e_i = basis_vector(n, i) if i >= 1 else None
-    t = _monomial_coproduct(n, e_i)
-    terms = {}
-    for (a, b), coeff in t.terms.items():
-        for scalar, key in _d_monomial(n, a):
-            terms[(key, b)] = coeff * scalar
-    return Tensor((form_key_mul, monomial_key_mul), terms)
+    return Tensor(_coaction_muls(form_slot), [
+        (_with_form_slot(form_slot, key, keys[1 - form_slot]), coeff.shift(c, k))
+        for keys, coeff in _monomial_coproduct(n, basis_vector(n, i)).terms.items()
+        for c, k, key in _d_monomial(n, keys[form_slot])])
 
 
-@lru_cache(maxsize=None)
-def _delta_left_generator(n: int, i: int) -> Tensor:
-    """(id x d) applied to the coproduct of x_i: an (algebra, form) tensor."""
-    from .hopf import _monomial_coproduct
-
-    t = _monomial_coproduct(n, basis_vector(n, i))
-    terms = {}
-    for (a, b), coeff in t.terms.items():
-        for scalar, key in _d_monomial(n, b):
-            terms[(a, key)] = coeff * scalar
-    return Tensor((monomial_key_mul, form_key_mul), terms)
+def _coaction_key(n: int, key, form_slot: int) -> Tensor:
+    """The coaction of the basis form dx_W x^alpha, |W| <= 1: D(x^alpha) on
+    degree 0, and the generator of x_i times D(x^alpha) on dx_i x^alpha."""
+    wedge, alpha = key
+    t = _embed_coproduct(n, alpha, form_slot)
+    return _coaction_generator(n, wedge[0], form_slot) * t if wedge else t
 
 
-def _check_first_order(u: Form) -> None:
+def _coaction(u, form_slot: int) -> Tensor:
+    if isinstance(u, Element):
+        u = Form.from_element(u)
     if u.max_degree() > 1:
         raise ValueError("coactions are defined on forms of degree <= 1")
+    return u.linear(lambda key: _coaction_key(u.n, key, form_slot), Tensor(_coaction_muls(form_slot)))
 
 
 def delta_right(u) -> Tensor:
     """Right coaction: form slot left, algebra slot right.  Acts as the
     coproduct on degree 0 and sends dx_i f to ((d x id) D(x_i)) D(f)."""
-    if isinstance(u, Element):
-        u = Form.from_element(u)
-    _check_first_order(u)
-    n = u.n
-    out = Tensor((form_key_mul, monomial_key_mul))
-    for wedge, coeff in u.terms.items():
-        for alpha, c in coeff.terms.items():
-            if not wedge:
-                t = _embed_coproduct(n, alpha, 0)
-            else:
-                t = _delta_right_generator(n, wedge[0]) * _embed_coproduct(n, alpha, 0)
-            out = out + t.scale(c)
-    return out
+    return _coaction(u, 0)
 
 
 def delta_left(u) -> Tensor:
     """Left coaction: algebra slot left, form slot right."""
-    if isinstance(u, Element):
-        u = Form.from_element(u)
-    _check_first_order(u)
-    n = u.n
-    out = Tensor((monomial_key_mul, form_key_mul))
-    for wedge, coeff in u.terms.items():
-        for alpha, c in coeff.terms.items():
-            if not wedge:
-                t = _embed_coproduct(n, alpha, 1)
-            else:
-                t = _delta_left_generator(n, wedge[0]) * _embed_coproduct(n, alpha, 1)
-            out = out + t.scale(c)
-    return out
+    return _coaction(u, 1)
 
 
 def form_slot_to_form(t: Tensor, n: int) -> Form:
     """Collapse a 1-slot tensor whose slot is a form key."""
-    out = Form.zero(n)
-    for (key,), coeff in t.terms.items():
-        wedge, alpha = key
-        out = out + Form.monomial(n, wedge, Element(n, {alpha: coeff}))
-    return out
+    return Form(n)._like({key: c for (key,), c in t.terms.items()})
 
 
 def _d_key_expansion(n: int):
     """Slot map sending an algebra key to the form keys of its differential."""
     def fn(alpha):
-        return [(scalar, (key,)) for scalar, key in _d_monomial(n, alpha)]
+        return [(LaurentScalar.q_power(k, c), (key,)) for c, k, key in _d_monomial(n, alpha)]
     return fn
 
 
-def _counit_slot(alpha) -> LaurentScalar:
-    from .hopf import _counit_key_aq
-
-    return _counit_key_aq(alpha)
-
-
-def _coproduct_expansion(n: int):
-    from .hopf import _monomial_coproduct
-
-    def fn(alpha):
-        return [(c, keys) for keys, c in _monomial_coproduct(n, alpha).terms.items()]
-    return fn
-
-
-def _delta_right_expansion(n: int):
-    def fn(key):
-        wedge, alpha = key
-        if not wedge:
-            t = _embed_coproduct(n, alpha, 0)
-        else:
-            t = _delta_right_generator(n, wedge[0]) * _embed_coproduct(n, alpha, 0)
-        return [(c, keys) for keys, c in t.terms.items()]
-    return fn
-
-
-def _delta_left_expansion(n: int):
-    def fn(key):
-        wedge, alpha = key
-        if not wedge:
-            t = _embed_coproduct(n, alpha, 1)
-        else:
-            t = _delta_left_generator(n, wedge[0]) * _embed_coproduct(n, alpha, 1)
-        return [(c, keys) for keys, c in t.terms.items()]
-    return fn
+def _coaction_expansion(n: int, form_slot: int):
+    return expansion(lambda key: _coaction_key(n, key, form_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +387,7 @@ def check_bicovariance(n: int, samples: int = 100, seed: int = 0) -> CheckReport
     import random
 
     from .bicharacter import commutation_factor
-    from .hopf import _monomial_coproduct, coproduct
+    from .hopf import _coproduct_expand_aq, _counit_key_aq, coproduct
 
     rng = random.Random(f"{seed}:bicovariance:{n}")
     report = CheckReport(f"bicovariance(n={n})")
@@ -544,18 +406,18 @@ def check_bicovariance(n: int, samples: int = 100, seed: int = 0) -> CheckReport
     for idx, u in enumerate(basis_forms):
         inputs = f"u={u}"
         tr = delta_right(u)
-        lhs = tr.expand_slot(0, _delta_right_expansion(n), (form_key_mul, monomial_key_mul))
-        rhs = tr.expand_slot(1, _coproduct_expansion(n), aq2)
+        lhs = tr.expand_slot(0, _coaction_expansion(n, 0), _coaction_muls(0))
+        rhs = tr.expand_slot(1, _coproduct_expand_aq(n), aq2)
         right_axiom.record(inputs, lhs, rhs)
         tl = delta_left(u)
-        lhs = tl.expand_slot(1, _delta_left_expansion(n), (monomial_key_mul, form_key_mul))
-        rhs = tl.expand_slot(0, _coproduct_expansion(n), aq2)
+        lhs = tl.expand_slot(1, _coaction_expansion(n, 1), _coaction_muls(1))
+        rhs = tl.expand_slot(0, _coproduct_expand_aq(n), aq2)
         left_axiom.record(inputs, lhs, rhs)
-        lhs = tl.expand_slot(1, _delta_right_expansion(n), (form_key_mul, monomial_key_mul))
-        rhs = tr.expand_slot(0, _delta_left_expansion(n), (monomial_key_mul, form_key_mul))
+        lhs = tl.expand_slot(1, _coaction_expansion(n, 0), _coaction_muls(0))
+        rhs = tr.expand_slot(0, _coaction_expansion(n, 1), _coaction_muls(1))
         bicomodule.record(inputs, lhs, rhs)
-        counit_leg.record(inputs, form_slot_to_form(tr.contract_slot(1, _counit_slot), n), u)
-        counit_leg.record(inputs, form_slot_to_form(tl.contract_slot(0, _counit_slot), n), u)
+        counit_leg.record(inputs, form_slot_to_form(tr.contract_slot(1, _counit_key_aq), n), u)
+        counit_leg.record(inputs, form_slot_to_form(tl.contract_slot(0, _counit_key_aq), n), u)
 
     relation = report.new("coaction-relation: d(x_i dx_j) = eta(e_i,e_j) d(dx_j) d(x_i)")
     for i in range(1, n + 1):

@@ -91,6 +91,12 @@ def _emit(value, fmt: str, kind: str | None = None, n: int | None = None) -> Non
 
 
 def _run_check(args) -> int:
+    # With no trials or no degree an identity would run no checks and still
+    # read PASS.
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.deg < 1:
+        raise ValueError(f"--deg must be >= 1, got {args.deg}")
     cfg = SuiteConfig(n=args.n, deg=args.deg, trials=args.trials, seed=args.seed)
     results = run_suites(args.suites, cfg)
     if args.format == "json":

@@ -23,14 +23,15 @@ asserts that failure exactly.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 from .bicharacter import basis_vector, commutation_factor, vector_add, vector_neg
-from .operators import Operator, word_key_mul, word_str, words_up_to
-from .qspace import Element, monomial_key_mul, monomial_str
+from .operators import Operator, apply_word, word_key_mul, words_up_to
+from .qspace import Element, monomial_key_mul
 from .report import CheckReport
 from .scalar import LaurentScalar, format_term, join_terms
-from .tensors import Tensor
+from .tensors import Tensor, expansion
 
 
 def aq_tensor(n: int, slots: int = 2, terms=None) -> Tensor:
@@ -68,10 +69,9 @@ def _monomial_coproduct(n: int, alpha) -> Tensor:
     return out
 
 
-def _counit_key_aq(alpha) -> LaurentScalar:
-    if any(alpha[1:]):
-        return LaurentScalar.zero()
-    return LaurentScalar.one()
+def _counit_key_aq(alpha) -> int:
+    """e(x^alpha): 1 on powers of x1, else 0."""
+    return 0 if any(alpha[1:]) else 1
 
 
 @lru_cache(maxsize=None)
@@ -86,11 +86,13 @@ def _monomial_antipode(n: int, alpha) -> Element:
     return out * Element.monomial(n, (-alpha[0],) + (0,) * (n - 1))
 
 
-def _antipode_key_aq(n: int):
-    def fn(alpha):
-        single = _monomial_antipode(n, alpha).single_term()
-        key, coeff = single
-        return coeff, key
+def _antipode_key(antipode_of):
+    """The key map of S, from a function giving the antipode of one key;
+    S sends a basis key to a single c q**k times a key."""
+    def fn(key):
+        image, coeff = antipode_of(key).single_term()
+        (k, c), = coeff.terms.items()
+        return c, k, image
     return fn
 
 
@@ -98,7 +100,8 @@ def _antipode_key_aq(n: int):
 # Operator algebra side
 
 @lru_cache(maxsize=None)
-def _word_coproduct(n: int, gamma, beta) -> Tensor:
+def _word_coproduct(n: int, word) -> Tensor:
+    gamma, beta = word
     zero = _zero_key(n)
     unit = ((zero, zero), (zero, zero))
     out = dq_tensor(n, 2, {unit: 1})
@@ -118,15 +121,14 @@ def _word_coproduct(n: int, gamma, beta) -> Tensor:
     return out
 
 
-def _counit_key_dq(key) -> LaurentScalar:
-    _, beta = key
-    if any(beta):
-        return LaurentScalar.zero()
-    return LaurentScalar.one()
+def _counit_key_dq(key) -> int:
+    """e(s^gamma d^beta): 1 on words without derivatives, else 0."""
+    return 0 if any(key[1]) else 1
 
 
 @lru_cache(maxsize=None)
-def _word_antipode(n: int, gamma, beta) -> Operator:
+def _word_antipode(n: int, word) -> Operator:
+    gamma, beta = word
     out = Operator.one(n)
     for i in range(n, 0, -1):
         e_i = basis_vector(n, i)
@@ -136,59 +138,44 @@ def _word_antipode(n: int, gamma, beta) -> Operator:
     return out * Operator.sigma_word(n, vector_neg(gamma))
 
 
-def _antipode_key_dq(n: int):
-    def fn(key):
-        gamma, beta = key
-        single = _word_antipode(n, gamma, beta).single_term()
-        word, coeff = single
-        return coeff, word
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # Public entry points (dispatch on the carrier)
 
+class _HopfMaps(NamedTuple):
+    """The slot merge of a carrier's tensors and its structure maps on one
+    key; coproduct and antipode take the dimension first."""
+    slot_mul: Callable
+    coproduct: Callable
+    counit: Callable
+    antipode: Callable
+
+
+_HOPF_MAPS = {
+    Element: _HopfMaps(monomial_key_mul, _monomial_coproduct, _counit_key_aq, _monomial_antipode),
+    Operator: _HopfMaps(word_key_mul, _word_coproduct, _counit_key_dq, _word_antipode),
+}
+
+
+def _hopf_maps(value, name: str) -> _HopfMaps:
+    maps = _HOPF_MAPS.get(type(value))
+    if maps is None:
+        raise TypeError(f"{name} expects Element or Operator, got {type(value).__name__}")
+    return maps
+
+
 def coproduct(value) -> Tensor:
     """Coproduct of an Element or Operator, as a 2-slot tensor."""
-    if isinstance(value, Element):
-        out = aq_tensor(value.n, 2)
-        for alpha, coeff in value.terms.items():
-            out = out + _monomial_coproduct(value.n, alpha).scale(coeff)
-        return out
-    if isinstance(value, Operator):
-        out = dq_tensor(value.n, 2)
-        for (gamma, beta), coeff in value.terms.items():
-            out = out + _word_coproduct(value.n, gamma, beta).scale(coeff)
-        return out
-    raise TypeError(f"coproduct expects Element or Operator, got {type(value).__name__}")
+    maps = _hopf_maps(value, "coproduct")
+    return value.linear(partial(maps.coproduct, value.n), Tensor((maps.slot_mul,) * 2))
 
 
 def counit(value) -> LaurentScalar:
-    if isinstance(value, Element):
-        total = LaurentScalar.zero()
-        for alpha, coeff in value.terms.items():
-            total = total + coeff * _counit_key_aq(alpha)
-        return total
-    if isinstance(value, Operator):
-        total = LaurentScalar.zero()
-        for key, coeff in value.terms.items():
-            total = total + coeff * _counit_key_dq(key)
-        return total
-    raise TypeError(f"counit expects Element or Operator, got {type(value).__name__}")
+    counit_of = _hopf_maps(value, "counit").counit
+    return sum((coeff for key, coeff in value.terms.items() if counit_of(key)), LaurentScalar.zero())
 
 
 def antipode(value):
-    if isinstance(value, Element):
-        out = Element.zero(value.n)
-        for alpha, coeff in value.terms.items():
-            out = out + _monomial_antipode(value.n, alpha).scale(coeff)
-        return out
-    if isinstance(value, Operator):
-        out = Operator.zero(value.n)
-        for (gamma, beta), coeff in value.terms.items():
-            out = out + _word_antipode(value.n, gamma, beta).scale(coeff)
-        return out
-    raise TypeError(f"antipode expects Element or Operator, got {type(value).__name__}")
+    return value.linear(partial(_hopf_maps(value, "antipode").antipode, value.n), value)
 
 
 def tau(t: Tensor) -> Tensor:
@@ -199,55 +186,37 @@ def tau(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Conversions and rendering
 
-def element_to_tensor1(f: Element) -> Tensor:
-    return Tensor((monomial_key_mul,), {(alpha,): c for alpha, c in f.terms.items()})
-
-
 def tensor1_to_element(t: Tensor, n: int) -> Element:
     return Element(n, {keys[0]: c for keys, c in t.terms.items()})
-
-
-def operator_to_tensor1(u: Operator) -> Tensor:
-    return Tensor((word_key_mul,), {(key,): c for key, c in u.terms.items()})
 
 
 def tensor1_to_operator(t: Tensor, n: int) -> Operator:
     return Operator(n, {keys[0]: c for keys, c in t.terms.items()})
 
 
-def _slot_str(kind: str, key) -> str:
-    if kind == "aq":
-        return monomial_str(key) or "1"
-    if kind == "dq":
-        return word_str(*key) or "1"
-    raise ValueError(f"unknown slot kind {kind!r}")
+def _slot_carrier(kind: str):
+    """The carrier whose keys fill the slots of a tensor of the given kind."""
+    if kind not in ("aq", "dq"):
+        raise ValueError(f"unknown slot kind {kind!r}")
+    return Element if kind == "aq" else Operator
 
 
 def tensor_text(t: Tensor, kind: str) -> str:
     """Readable form of a 2-slot tensor, e.g. 'x2 (x) x1 + x1 (x) x2'."""
-    parts = []
-    for keys, coeff in t.sorted_terms():
-        body = " (x) ".join(_slot_str(kind, key) for key in keys)
-        parts.append(format_term(coeff, body))
-    return join_terms(parts)
-
-
-def _slot_json(kind: str, key):
-    if kind == "aq":
-        return {"alpha": list(key)}
-    if kind == "dq":
-        return {"gamma": list(key[0]), "beta": list(key[1])}
-    raise ValueError(f"unknown slot kind {kind!r}")
+    carrier = _slot_carrier(kind)
+    return join_terms(format_term(coeff, " (x) ".join(carrier._key_str(key) or "1" for key in keys))
+                      for keys, coeff in t.sorted_terms())
 
 
 def tensor_to_json(t: Tensor, kind: str, n: int):
     if t.slot_count != 2:
         raise ValueError("only 2-slot tensors have a documented schema")
+    carrier = _slot_carrier(kind)
     return {
         "n": n,
         "slots": [kind, kind],
         "terms": [
-            {"left": _slot_json(kind, keys[0]), "right": _slot_json(kind, keys[1]),
+            {"left": carrier._key_json(keys[0]), "right": carrier._key_json(keys[1]),
              "coeff": coeff.to_json()["coeff"]}
             for keys, coeff in t.sorted_terms()
         ],
@@ -255,49 +224,23 @@ def tensor_to_json(t: Tensor, kind: str, n: int):
 
 
 def tensor_from_json(data) -> Tensor:
-    kind = data["slots"][0]
-    if kind == "aq":
-        mul = monomial_key_mul
-        def key_of(d):
-            return tuple(d["alpha"])
-    elif kind == "dq":
-        mul = word_key_mul
-        def key_of(d):
-            return (tuple(d["gamma"]), tuple(d["beta"]))
-    else:
-        raise ValueError(f"unknown slot kind {kind!r}")
-    terms = {}
-    for term in data["terms"]:
-        keys = (key_of(term["left"]), key_of(term["right"]))
-        terms[keys] = LaurentScalar.from_json({"coeff": term["coeff"]})
-    return Tensor((mul, mul), terms)
+    carrier = _slot_carrier(data["slots"][0])
+    return Tensor((carrier._merge,) * 2, {
+        (carrier._key_from_json(term["left"]), carrier._key_from_json(term["right"])):
+            LaurentScalar.from_json(term)
+        for term in data["terms"]})
 
 
 def apply_pair_tensor(t: Tensor, f: Element, g: Element) -> Element:
     """Act with a 2-slot operator tensor on f (x) g and multiply the legs."""
-    n = f.n
-    out = Element.zero(n)
-    for (k1, k2), coeff in t.terms.items():
-        left = Operator(n, {k1: 1}).apply(f)
-        right = Operator(n, {k2: 1}).apply(g)
-        out = out + (left * right).scale(coeff)
-    return out
+    return t.linear(lambda keys: apply_word(keys[0], f) * apply_word(keys[1], g), f)
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 
 def _coproduct_expand_aq(n: int):
-    def fn(alpha):
-        return [(c, keys) for keys, c in _monomial_coproduct(n, alpha).terms.items()]
-    return fn
-
-
-def _coproduct_expand_dq(n: int):
-    def fn(key):
-        gamma, beta = key
-        return [(c, keys) for keys, c in _word_coproduct(n, gamma, beta).terms.items()]
-    return fn
+    return expansion(partial(_monomial_coproduct, n))
 
 
 def check_hopf_coordinate_algebra(n: int, monomials, pair_samples: int = 300,
@@ -310,7 +253,7 @@ def check_hopf_coordinate_algebra(n: int, monomials, pair_samples: int = 300,
     report = CheckReport(f"hopf-coordinate(n={n})")
     monomials = sorted(monomials)
     expand = _coproduct_expand_aq(n)
-    antipode_key = _antipode_key_aq(n)
+    antipode_key = _antipode_key(partial(_monomial_antipode, n))
 
     coassoc = report.new("coassociativity: (D x id)D = (id x D)D")
     counit_law = report.new("counit: (e x id)D = id = (id x e)D")
@@ -376,8 +319,8 @@ def check_hopf_operator_algebra(n: int, word_degree: int = 3, seed: int = 0) -> 
 
     rng = random.Random(f"{seed}:dq-hopf:{n}")
     report = CheckReport(f"hopf-operator(n={n})")
-    expand = _coproduct_expand_dq(n)
-    antipode_key = _antipode_key_dq(n)
+    expand = expansion(partial(_word_coproduct, n))
+    antipode_key = _antipode_key(partial(_word_antipode, n))
 
     coassoc = report.new("coassociativity: (D x id)D = (id x D)D")
     counit_law = report.new("counit: (e x id)D = id = (id x e)D")

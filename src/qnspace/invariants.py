@@ -43,11 +43,9 @@ def maurer_cartan(f: Element) -> Form:
     from .hopf import _monomial_antipode
 
     n = f.n
-    out = Form.zero(n)
-    for (a, b), coeff in coproduct(f).terms.items():
-        leg = exterior_d(Element.monomial(n, a)) * _monomial_antipode(n, b)
-        out = out + leg.scale(coeff)
-    return out
+    return coproduct(f).linear(
+        lambda keys: exterior_d(Element.monomial(n, keys[0])) * _monomial_antipode(n, keys[1]),
+        Form.zero(n))
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +60,7 @@ def decompose_maurer_cartan(w: Form) -> list[Element]:
     """Coefficients f_1..f_n with sum_i f_i * w_i == w (w of degree <= 1 with
     no degree-0 part).  Raises ValueError when no decomposition exists."""
     n = w.n
-    if w.max_degree() > 1 or (() in w.terms):
+    if w.max_degree() > 1 or w.coefficient(()):
         raise ValueError("only purely degree-1 forms decompose in the w basis")
     x1 = Element.generator(n, 1)
     coeffs = [Element.zero(n)] * n
@@ -70,8 +68,8 @@ def decompose_maurer_cartan(w: Form) -> list[Element]:
     # w_i is the only basis form with a dx_i component (i >= 2), and that
     # component is dx_i x1^-1; peel those off first, then w_1.
     for i in range(n, 0, -1):
-        comp = remainder.terms.get((i,))
-        if comp is None:
+        comp = remainder.coefficient((i,))
+        if not comp:
             continue
         f_i = sigma(vector_neg(basis_vector(n, i)), comp * x1)
         coeffs[i - 1] = f_i
@@ -96,10 +94,7 @@ def apply_vector_field(i: int, f: Element) -> Element:
 
 def degree_scale(c: int, f: Element) -> Element:
     """The diagonal grading operator x^a -> q^(c * total_degree(a)) x^a."""
-    return Element(f.n, {
-        alpha: coeff * LaurentScalar.q_power(c * total_degree(alpha))
-        for alpha, coeff in f.terms.items()
-    })
+    return f.map_keys(lambda alpha: (1, c * total_degree(alpha), alpha))
 
 
 def vf_coproduct_action(i: int, f: Element, g: Element) -> Element:

@@ -35,7 +35,18 @@ from .bicharacter import (basis_vector, commutation_exponent, commutation_factor
                           pairing, vector_add, vector_neg)
 from .qspace import Element, monomials_up_to, random_element, random_exponent
 from .report import CheckReport
-from .scalar import LaurentScalar, format_term, join_terms
+from .scalar import LaurentScalar
+from .tensors import SpaceSparse
+
+
+def derive_key(i: int, e_i, alpha):
+    """The key map of d_i: x^a -> (a_i, k, a - e_i) with q**k = eta(abar_i, e_i),
+    or None when a_i = 0."""
+    a_i = alpha[i - 1]
+    if a_i == 0:
+        return None
+    abar = alpha[: i - 1] + (0,) * (len(alpha) - i + 1)
+    return a_i, commutation_exponent(abar, e_i), alpha[: i - 1] + (a_i - 1,) + alpha[i:]
 
 
 def derive(i: int, f: Element) -> Element:
@@ -44,22 +55,7 @@ def derive(i: int, f: Element) -> Element:
     if not 1 <= i <= n:
         raise ValueError(f"derivative index {i} out of range 1..{n}")
     e_i = basis_vector(n, i)
-    terms = {}
-    for alpha, coeff in f.terms.items():
-        a_i = alpha[i - 1]
-        if a_i == 0:
-            continue
-        abar = alpha[: i - 1] + (0,) * (n - i + 1)
-        factor = LaurentScalar.q_power(commutation_exponent(abar, e_i), a_i)
-        key = tuple(e - d for e, d in zip(alpha, e_i))
-        c = coeff * factor
-        prev = terms.get(key)
-        c = c if prev is None else prev + c
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
-    return Element(n, terms)
+    return f.map_keys(lambda alpha: derive_key(i, e_i, alpha))
 
 
 def sigma(beta, f: Element) -> Element:
@@ -67,18 +63,15 @@ def sigma(beta, f: Element) -> Element:
     beta = tuple(beta)
     if len(beta) != f.n:
         raise ValueError(f"dimension mismatch: {len(beta)} != {f.n}")
-    return Element(f.n, {
-        alpha: coeff * LaurentScalar.q_power(commutation_exponent(alpha, beta))
-        for alpha, coeff in f.terms.items()
-    })
+    return f.map_keys(lambda alpha: (1, commutation_exponent(alpha, beta), alpha))
 
 
 def word_key_mul(k1, k2):
-    """Merge two normal-form word keys (gamma, beta); returns (scalar, key)."""
+    """Merge two normal-form word keys (gamma, beta); returns (1, k, key)."""
     g1, b1 = k1
     g2, b2 = k2
     exponent = commutation_exponent(b1, g2) + pairing(b1, b2)
-    return LaurentScalar.q_power(exponent), (vector_add(g1, g2), vector_add(b1, b2))
+    return 1, exponent, (vector_add(g1, g2), vector_add(b1, b2))
 
 
 def _validate_word(n, gamma, beta):
@@ -92,45 +85,23 @@ def _validate_word(n, gamma, beta):
     return gamma, beta
 
 
-class Operator:
+class Operator(SpaceSparse):
     """A Laurent combination of normal-form words sigma^gamma d^beta.
 
     terms maps (gamma, beta) pairs to nonzero coefficients; gamma ranges over
     Z^n (the sigmas are invertible), beta over (Z_+)^n.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _merge = staticmethod(word_key_mul)
 
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for (gamma, beta), coeff in items:
-                gamma, beta = _validate_word(n, gamma, beta)
-                if not isinstance(coeff, LaurentScalar):
-                    coeff = LaurentScalar({0: coeff})
-                if not coeff:
-                    continue
-                key = (gamma, beta)
-                prev = clean.get(key)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    clean[key] = coeff
-                else:
-                    clean.pop(key, None)
-        self.terms = clean
+    def _check_key(self, key):
+        gamma, beta = key
+        return _validate_word(self.n, gamma, beta)
 
-    @classmethod
-    def zero(cls, n: int) -> "Operator":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "Operator":
-        z = (0,) * n
-        return cls(n, {(z, z): 1})
+    def _unit_key(self):
+        z = (0,) * self.n
+        return z, z
 
     @classmethod
     def word(cls, n: int, gamma, beta, coeff=1) -> "Operator":
@@ -148,138 +119,36 @@ class Operator:
     def sigma_gen(cls, n: int, i: int, power: int = 1) -> "Operator":
         return cls.word(n, tuple(power if k == i - 1 else 0 for k in range(n)), (0,) * n)
 
-    def _check_dim(self, other: "Operator") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        self._check_dim(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        result = Operator.__new__(Operator)
-        result.n, result.terms = self.n, out
-        return result
-
-    def __neg__(self):
-        result = Operator.__new__(Operator)
-        result.n = self.n
-        result.terms = {key: -c for key, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "Operator":
-        if not isinstance(coeff, LaurentScalar):
-            coeff = LaurentScalar({0: coeff})
-        return Operator(self.n, {key: c * coeff for key, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Operator):
-            self._check_dim(other)
-            out = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    scalar, key = word_key_mul(k1, k2)
-                    c = c1 * c2 * scalar
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            result = Operator.__new__(Operator)
-            result.n, result.terms = self.n, out
-            return result
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        out = Operator.one(self.n)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
     def apply(self, f: Element) -> Element:
         """Act on an algebra element: derivatives rightmost-first, then the
         sigma block, then the coefficient."""
         if f.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} != {f.n}")
-        out = Element.zero(self.n)
-        for (gamma, beta), coeff in self.terms.items():
-            g = f
-            for i in range(self.n, 0, -1):
-                for _ in range(beta[i - 1]):
-                    g = derive(i, g)
-                if not g:
-                    break
-            if not g:
-                continue
-            if any(gamma):
-                g = sigma(gamma, g)
-            out = out + g.scale(coeff)
-        return out
+        return self.linear(lambda word: apply_word(word, f), f)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
+    @staticmethod
+    def _key_str(word):
+        return word_str(*word)
 
-    def single_term(self):
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        return None
+    @staticmethod
+    def _key_json(word):
+        return {"gamma": list(word[0]), "beta": list(word[1])}
 
-    def __str__(self) -> str:
-        parts = []
-        for (gamma, beta), coeff in self.sorted_terms():
-            parts.append(format_term(coeff, word_str(gamma, beta)))
-        return join_terms(parts)
+    @staticmethod
+    def _key_from_json(term):
+        return tuple(term["gamma"]), tuple(term["beta"])
 
-    def __repr__(self) -> str:
-        return f"Operator(n={self.n}, {self})"
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"gamma": list(gamma), "beta": list(beta), "coeff": coeff.to_json()["coeff"]}
-                for (gamma, beta), coeff in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "Operator":
-        n = data["n"]
-        return cls(n, {
-            (tuple(term["gamma"]), tuple(term["beta"])):
-                LaurentScalar.from_json({"coeff": term["coeff"]})
-            for term in data["terms"]
-        })
+def apply_word(word, f: Element) -> Element:
+    """Act with the word sigma^gamma d^beta on f: derivatives rightmost-first,
+    then the sigma block."""
+    gamma, beta = word
+    for i in range(len(beta), 0, -1):
+        for _ in range(beta[i - 1]):
+            f = derive(i, f)
+        if not f:
+            return f
+    return sigma(gamma, f) if any(gamma) else f
 
 
 def word_str(gamma, beta) -> str | None:

@@ -17,7 +17,8 @@ type is:
     scalar   -> LaurentScalar (atoms: rationals, q)
 
 Negative powers are allowed only on q, x1 and s<k>; the wedge '/\\' is a
-product only between form-valued subexpressions.
+product only between form-valued subexpressions.  Parentheses nest at most
+MAX_PAREN_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -109,27 +110,23 @@ class Pow:
 
 @dataclass
 class Mul:
-    left: object
-    right: object
-    wedge: bool
-    position: int
+    """factors[0] op factors[1] op ...; ops[k] = (wedge, position) joins
+    factors[k] and factors[k + 1]."""
+    factors: list
+    ops: list
 
 
 @dataclass
 class Add:
-    left: object
-    right: object
+    """signs[0] terms[0] + signs[1] terms[1] + ... with each sign +1 or -1."""
+    terms: list
+    signs: list
 
 
-@dataclass
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass
-class Neg:
-    operand: object
+# Each nesting level costs a few stack frames in the parser and the
+# evaluator, so deeper input is refused rather than left to hit the
+# interpreter's recursion limit.
+MAX_PAREN_DEPTH = 100
 
 
 class _Parser:
@@ -137,6 +134,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -150,37 +148,40 @@ class _Parser:
 
     def expr(self):
         tok = self.peek()
+        sign = 1
         if tok is not None and tok.kind == "-":
             self.take()
-            node = Neg(self.term())
-        else:
-            node = self.term()
+            sign = -1
+        node = Add([self.term()], [sign])
         while True:
             tok = self.peek()
             if tok is None or tok.kind not in ("+", "-"):
                 return node
             self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if tok.kind == "+" else Sub(node, rhs)
+            node.terms.append(self.term())
+            node.signs.append(1 if tok.kind == "+" else -1)
 
     def term(self):
-        node = self.factor()
+        node = Mul([self.factor()], [])
         while True:
             tok = self.peek()
             if tok is None:
                 return node
             if tok.kind in ("*", "/\\"):
                 self.take()
-                node = Mul(node, self.factor(), tok.kind == "/\\", tok.position)
-            elif tok.kind in ("num", "name", "("):
-                node = Mul(node, self.factor(), False, tok.position)
-            else:
+            elif tok.kind not in ("num", "name", "("):
                 return node
+            node.ops.append((tok.kind == "/\\", tok.position))
+            node.factors.append(self.factor())
 
     def factor(self):
         tok = self.take()
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.position)
             node = self.expr()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.position)
@@ -237,14 +238,11 @@ def parse_multiindex(text: str, n: int) -> tuple[int, ...]:
     return tuple(data)
 
 
+_CARRIERS = {"algebra": Element, "operator": Operator, "form": Form}
+
+
 def _lift_scalar(s: LaurentScalar, context: str, n: int):
-    if context == "scalar":
-        return s
-    if context == "algebra":
-        return Element.one(n).scale(s)
-    if context == "operator":
-        return Operator.one(n).scale(s)
-    return Form.from_element(Element.one(n).scale(s))
+    return s if context == "scalar" else _CARRIERS[context].one(n).scale(s)
 
 
 _CONTEXT_ATOMS = {
@@ -281,19 +279,13 @@ def _atom(gen: Gen, context: str, n: int, power: int = 1):
     if kind == "dx":
         if power < 0:
             raise ParseError(f"negative powers are not allowed on dx{index}", gen.position)
-        out = Form.from_element(Element.one(n))
-        for _ in range(power):
-            out = out * Form.dx(n, index)
-        return out
+        return Form.dx(n, index) ** power
     if kind == "w":
         if power < 0:
             raise ParseError(f"negative powers are not allowed on w{index}", gen.position)
         from .invariants import maurer_cartan_basis
 
-        out = Form.from_element(Element.one(n))
-        for _ in range(power):
-            out = out * maurer_cartan_basis(n, index)
-        return out
+        return maurer_cartan_basis(n, index) ** power
     raise ParseError(f"unknown atom kind {kind!r}", gen.position)
 
 
@@ -311,14 +303,20 @@ def _evaluate(node, context: str, n: int):
             return _lift_scalar(
                 LaurentScalar.from_rational(node.base.value**node.exponent), context, n)
         raise ParseError("powers apply to atoms only", node.position)
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, context, n)
     if isinstance(node, Add):
-        return _evaluate(node.left, context, n) + _evaluate(node.right, context, n)
-    if isinstance(node, Sub):
-        return _evaluate(node.left, context, n) - _evaluate(node.right, context, n)
+        value = _evaluate(node.terms[0], context, n)
+        if node.signs[0] < 0:
+            value = -value
+        for sign, term in zip(node.signs[1:], node.terms[1:]):
+            rhs = _evaluate(term, context, n)
+            value = value + rhs if sign > 0 else value - rhs
+        return value
     if isinstance(node, Mul):
-        if node.wedge and context != "form":
-            raise ParseError(f"'/\\' is only valid in form context, not {context}", node.position)
-        return _evaluate(node.left, context, n) * _evaluate(node.right, context, n)
+        wedges = [position for wedge, position in node.ops if wedge]
+        if wedges and context != "form":
+            raise ParseError(f"'/\\' is only valid in form context, not {context}", wedges[-1])
+        value = _evaluate(node.factors[0], context, n)
+        for factor in node.factors[1:]:
+            value = value * _evaluate(factor, context, n)
+        return value
     raise TypeError(f"unknown AST node {type(node).__name__}")

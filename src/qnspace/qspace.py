@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .bicharacter import commutation_exponent, commutation_factor, pairing, vector_add
 from .report import CheckReport
-from .scalar import LaurentScalar, format_term, join_terms, random_scalar
+from .scalar import LaurentScalar, random_scalar
+from .tensors import SpaceSparse
 
 
 def validate_exponent(n: int, alpha) -> tuple[int, ...]:
@@ -37,47 +38,25 @@ def total_degree(alpha) -> int:
 
 
 def monomial_key_mul(a, b):
-    """Merge two exponent keys: returns (q**pairing(a,b), a+b)."""
-    return LaurentScalar.q_power(pairing(a, b)), vector_add(a, b)
+    """Merge two exponent keys: x^a x^b = q**pairing(a,b) x^(a+b), as (1, k, a+b)."""
+    return 1, pairing(a, b), vector_add(a, b)
 
 
-class Element:
+class Element(SpaceSparse):
     """A finite Laurent combination of PBW monomials x^a.
 
     terms maps exponent tuples to nonzero LaurentScalar coefficients; the
     empty map is 0 and {0: 1} is the unit.  Immutable by convention.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    _merge = staticmethod(monomial_key_mul)
 
-    def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
-        self.n = n
-        clean: dict[tuple[int, ...], LaurentScalar] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for alpha, coeff in items:
-                alpha = validate_exponent(n, alpha)
-                if not isinstance(coeff, LaurentScalar):
-                    coeff = LaurentScalar({0: coeff})
-                if not coeff:
-                    continue
-                prev = clean.get(alpha)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff:
-                    clean[alpha] = coeff
-                else:
-                    clean.pop(alpha, None)
-        self.terms = clean
+    def _check_key(self, alpha):
+        return validate_exponent(self.n, alpha)
 
-    @classmethod
-    def zero(cls, n: int) -> "Element":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "Element":
-        return cls(n, {(0,) * n: LaurentScalar.one()})
+    def _unit_key(self):
+        return (0,) * self.n
 
     @classmethod
     def monomial(cls, n: int, alpha, coeff=1) -> "Element":
@@ -94,75 +73,6 @@ class Element:
     def x1_inverse(cls, n: int) -> "Element":
         return cls(n, {(-1,) + (0,) * (n - 1): 1})
 
-    def _check_dim(self, other: "Element") -> None:
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} != {other.n}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_dim(other)
-        out = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            s = out.get(alpha)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
-        result = Element.__new__(Element)
-        result.n, result.terms = self.n, out
-        return result
-
-    def __neg__(self):
-        result = Element.__new__(Element)
-        result.n = self.n
-        result.terms = {alpha: -c for alpha, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "Element":
-        if not isinstance(coeff, LaurentScalar):
-            coeff = LaurentScalar({0: coeff})
-        return Element(self.n, {alpha: c * coeff for alpha, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check_dim(other)
-            out: dict[tuple[int, ...], LaurentScalar] = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    scalar, key = monomial_key_mul(a, b)
-                    c = ca * cb * scalar
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            result = Element.__new__(Element)
-            result.n, result.terms = self.n, out
-            return result
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        # Scalars commute with everything; Element * Element handles the rest.
-        if isinstance(other, (int, LaurentScalar)) or type(other).__name__ == "Fraction":
-            return self.scale(other)
-        return NotImplemented
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise TypeError("exponent must be int")
@@ -176,26 +86,7 @@ class Element:
             (k, c), = coeff.terms.items()
             inv = Element.monomial(self.n, (-alpha[0],) + alpha[1:], LaurentScalar.q_power(-k, 1 / c))
             return inv ** (-exponent)
-        out = Element.one(self.n)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def single_term(self):
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        return None
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def map_coeffs(self, fn) -> "Element":
-        return Element(self.n, {alpha: fn(c) for alpha, c in self.terms.items()})
+        return super().__pow__(exponent)
 
     def evaluate_coeffs(self, v) -> dict:
         """Substitute q = v in every coefficient; returns {alpha: Fraction}."""
@@ -206,31 +97,17 @@ class Element:
                 out[alpha] = value
         return out
 
-    def __str__(self) -> str:
-        parts = []
-        for alpha, coeff in self.sorted_terms():
-            parts.append(format_term(coeff, monomial_str(alpha)))
-        return join_terms(parts)
+    @staticmethod
+    def _key_str(alpha):
+        return monomial_str(alpha)
 
-    def __repr__(self) -> str:
-        return f"Element(n={self.n}, {self})"
+    @staticmethod
+    def _key_json(alpha):
+        return {"alpha": list(alpha)}
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "terms": [
-                {"alpha": list(alpha), "coeff": coeff.to_json()["coeff"]}
-                for alpha, coeff in self.sorted_terms()
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "Element":
-        n = data["n"]
-        return cls(n, {
-            tuple(term["alpha"]): LaurentScalar.from_json({"coeff": term["coeff"]})
-            for term in data["terms"]
-        })
+    @staticmethod
+    def _key_from_json(term):
+        return tuple(term["alpha"])
 
 
 def monomial_str(alpha) -> str | None:

@@ -62,9 +62,6 @@ class LaurentScalar:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
-
     def single_term(self):
         """Return (exponent, coefficient) if this is a monomial, else None."""
         if len(self.terms) == 1:
@@ -106,12 +103,6 @@ class LaurentScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -130,6 +121,16 @@ class LaurentScalar:
         return result
 
     __rmul__ = __mul__
+
+    def shift(self, c, k: int) -> "LaurentScalar":
+        """This scalar times c q**k, for a nonzero rational c: the product
+        by one basis merge, without building the monomial c q**k."""
+        result = LaurentScalar.__new__(LaurentScalar)
+        if c == 1:
+            result.terms = {e + k: v for e, v in self.terms.items()}
+        else:
+            result.terms = {e + k: c * v for e, v in self.terms.items()}
+        return result
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

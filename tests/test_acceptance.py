@@ -4,6 +4,7 @@ All comparisons are exact (Laurent-polynomial equality, tolerance zero).
 Runtime bounds are asserted per criterion.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ from qnspace.qspace import check_algebra
 from qnspace.suites import SuiteConfig, SUITES
 
 SEED = 42
+# SHA-256 of the stdout of `qspace check all --n 3 --deg 4 --trials 200 --seed 42`.
+REFERENCE_SHA256 = "c76639c6451abe65c35ff2b789f14f99f1749e4f9d376fc3c9c6f860bf82870e"
 
 
 class _Criterion:
@@ -137,4 +140,5 @@ def test_criterion_10_end_to_end():
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert b"overall: PASS" in first.stdout
+    assert hashlib.sha256(first.stdout).hexdigest() == REFERENCE_SHA256
     assert elapsed < 300

@@ -139,7 +139,7 @@ def test_coaction_on_basis_forms():
 
 
 def test_coaction_counit_leg():
-    from qnspace.calculus import _counit_slot
+    from qnspace.hopf import _counit_key_aq as _counit_slot
 
     n = 3
     for i in range(1, n + 1):

@@ -117,6 +117,39 @@ def test_unknown_suite_exit_code():
     assert "unknown suite" in err
 
 
+def test_check_rejects_vacuous_sizes():
+    from qnspace.suites import SUITE_ORDER
+
+    for suite in SUITE_ORDER + ["all"]:
+        for flag in ("--trials", "--deg"):
+            code, out, err = run_cli("check", suite, "--n", "2", flag, "0")
+            assert code == 2, (suite, flag)
+            assert out == ""
+            assert f"error: {flag} must be >= 1" in err
+    code, _, _ = run_cli("check", "algebra", "calculus", "--n", "2", "--trials", "-3")
+    assert code == 2
+
+
+FORM_TEXT = r"x2 + dx1 x1 + 2 dx1 x2 + q dx2 + dx1 /\ dx2 x1^-1 - 1/2"
+
+
+def test_form_normalize_golden():
+    code, out, _ = run_cli("normalize", FORM_TEXT, "--n", "2", "--context", "form")
+    assert code == 0
+    assert out == "-1/2 + x2 + dx1 * (2 x2 + x1) + dx2 * q + dx1 /\\ dx2 * x1^-1\n"
+    code, out, _ = run_cli("normalize", FORM_TEXT, "--n", "2", "--context", "form", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"n": 2, "terms": ['
+        '{"coeff": {"n": 2, "terms": [{"alpha": [0, 0], "coeff": [[0, "-1/2"]]}, '
+        '{"alpha": [0, 1], "coeff": [[0, "1/1"]]}]}, "wedge": []}, '
+        '{"coeff": {"n": 2, "terms": [{"alpha": [0, 1], "coeff": [[0, "2/1"]]}, '
+        '{"alpha": [1, 0], "coeff": [[0, "1/1"]]}]}, "wedge": [1]}, '
+        '{"coeff": {"n": 2, "terms": [{"alpha": [0, 0], "coeff": [[1, "1/1"]]}]}, "wedge": [2]}, '
+        '{"coeff": {"n": 2, "terms": [{"alpha": [-1, 0], "coeff": [[0, "1/1"]]}]}, "wedge": [1, 2]}'
+        ']}\n')
+
+
 def test_check_single_suite():
     code, out, _ = run_cli("check", "bicharacter", "--n", "1", "--trials", "50", "--seed", "1")
     assert code == 0

@@ -208,6 +208,17 @@ def test_tensor_text_and_json():
     assert tensor_from_json(data) == t
 
 
+def test_failing_tensor_identity_keeps_its_witness():
+    from qnspace.report import CheckReport
+
+    t = coproduct(x(2, 2))
+    report = CheckReport("tensor-witness")
+    assert not report.new("t = -t").record("x2", t, -t)
+    text = report.render_text()
+    assert "FAIL t = -t (checks=1 failures=1)" in text
+    assert f"lhs:    {t!r}" in text and f"rhs:    {-t!r}" in text
+
+
 def test_counit_law_via_contraction():
     from qnspace.hopf import _counit_key_aq
 

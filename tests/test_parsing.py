@@ -161,3 +161,36 @@ def test_multiindex_parsing():
         parse_multiindex("[1,a]", 2)
     with pytest.raises(ParseError):
         parse_multiindex("nonsense", 2)
+
+
+def test_long_flat_chains():
+    # 3000 terms or factors in one chain, well past the recursion limit.
+    assert parse("+".join(["x1"] * 3000), "algebra", 2) == Element.monomial(2, (1, 0), 3000)
+    assert parse(" ".join(["x1"] * 3000), "algebra", 2) == Element.monomial(2, (3000, 0))
+
+
+def test_paren_depth_limit():
+    from qnspace.parsing import MAX_PAREN_DEPTH
+
+    depth = MAX_PAREN_DEPTH
+    assert parse("(" * depth + "x1" + ")" * depth, "algebra", 2) == Element.generator(2, 1)
+    with pytest.raises(ParseError):
+        parse("(" * (depth + 1) + "x1" + ")" * (depth + 1), "algebra", 2)
+
+
+def test_deep_nesting_exits_2_without_traceback():
+    import subprocess
+    import sys
+
+    text = "(" * 2000 + "x1" + ")" * 2000
+    done = subprocess.run([sys.executable, "-m", "qnspace", "normalize", text, "--n", "2"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+def test_wedge_error_names_last_wedge():
+    with pytest.raises(ParseError) as info:
+        parse(r"x1 /\ x2 * x1 /\ x2", "algebra", 2)
+    assert info.value.position == 14

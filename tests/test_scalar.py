@@ -96,3 +96,12 @@ def test_json_round_trip():
 def test_parse_rational():
     assert parse_rational("-2/5") == Fraction(-2, 5)
     assert parse_rational("7") == Fraction(7)
+
+
+def test_shift_is_product_by_monomial():
+    rng = random.Random(31)
+    for _ in range(200):
+        s = random_scalar(rng, exp_bound=4, nonzero=False)
+        k = rng.randint(-6, 6)
+        for c in (1, -1, 3, -3):
+            assert s.shift(c, k) == s * LaurentScalar.q_power(k, c)
