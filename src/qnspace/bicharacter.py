@@ -142,8 +142,9 @@ def check_pairing_identities(n: int, trials: int = 200, seed: int = 0, bound: in
     report = CheckReport(f"pairing(n={n})")
     left = report.new("pairing.basis-left: pairing(e_i,b) = sum_{s<i}(s-i)b_s")
     right = report.new("pairing.basis-right: pairing(b,e_i) = sum_{s>i}(i-s)b_s")
-    diff_left = report.new("pairing.step-left: pairing(e_i-e_{i+1},b) = sum_{s<=i}b_s")
-    diff_right = report.new("pairing.step-right: pairing(b,e_i-e_{i+1}) = -sum_{s>i}b_s")
+    if n > 1:  # at n = 1 there is no step e_i - e_{i+1} to test
+        diff_left = report.new("pairing.step-left: pairing(e_i-e_{i+1},b) = sum_{s<=i}b_s")
+        diff_right = report.new("pairing.step-right: pairing(b,e_i-e_{i+1}) = -sum_{s>i}b_s")
     biadd = report.new("pairing.bi-additive")
     for _ in range(trials):
         b = random_tuple(rng, n, bound)

@@ -190,7 +190,8 @@ def check_vector_fields(n: int, deg_bound: int = 4, samples: int = 100, seed: in
     report = CheckReport(f"vector-fields(n={n})")
     monomials = monomials_up_to(n, deg_bound, x1_min=x1_min)
 
-    commute = report.new("vf-commute: T_i(T_j(f)) = T_j(T_i(f))")
+    if n > 1:  # at n = 1 there is no pair i < j to commute
+        commute = report.new("vf-commute: T_i(T_j(f)) = T_j(T_i(f))")
     diag = report.new("vf-diagonal: T_1(x^a) = (sum a_k) x^a")
     via_mc = report.new("vf-differential: sum_i w_i T_i(f) = d(f)")
     for alpha in monomials:

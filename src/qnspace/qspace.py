@@ -14,6 +14,8 @@ transposition; it is kept as an independent cross-check of the merge rule
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .bicharacter import commutation_exponent, commutation_factor, pairing, vector_add
 from .report import CheckReport
 from .scalar import LaurentScalar, random_scalar
@@ -84,7 +86,7 @@ class Element(SpaceSparse):
             if any(e for e in alpha[1:]) or len(coeff.terms) != 1:
                 raise ValueError(f"{self} is not invertible")
             (k, c), = coeff.terms.items()
-            inv = Element.monomial(self.n, (-alpha[0],) + alpha[1:], LaurentScalar.q_power(-k, 1 / c))
+            inv = Element.monomial(self.n, (-alpha[0],) + alpha[1:], LaurentScalar.q_power(-k, Fraction(1) / c))
             return inv ** (-exponent)
         return super().__pow__(exponent)
 

@@ -47,8 +47,20 @@ class IdentityReport:
         return False
 
     @property
+    def checks(self) -> int:
+        return self.passes + len(self.failures)
+
+    @property
     def ok(self) -> bool:
-        return not self.failures
+        """Passed: at least one check ran and none failed.  An identity that
+        ran no checks tested nothing, so it does not pass."""
+        return self.passes > 0 and not self.failures
+
+    @property
+    def status(self) -> str:
+        if self.failures:
+            return "FAIL"
+        return "PASS" if self.passes else "EMPTY"
 
     def to_json(self):
         return {
@@ -80,9 +92,8 @@ class CheckReport:
     def render_text(self) -> str:
         lines = [f"suite {self.name}: {'PASS' if self.ok else 'FAIL'}"]
         for rep in self.identities:
-            status = "PASS" if rep.ok else "FAIL"
             tail = f" failures={len(rep.failures)}" if rep.failures else ""
-            lines.append(f"  {status} {rep.identity} (checks={rep.passes + len(rep.failures)}{tail})")
+            lines.append(f"  {rep.status} {rep.identity} (checks={rep.checks}{tail})")
             for w in rep.failures:
                 lines.append(f"    inputs: {w.inputs}")
                 lines.append(f"    lhs:    {w.lhs}")

@@ -2,7 +2,13 @@
 with rational coefficients.
 
 Every coefficient produced by the kernel is of this shape, so all identity
-checking downstream is exact -- no floats, no tolerances.
+checking downstream is exact -- no floats, no tolerances.  An integral
+coefficient is held as an ``int`` and only a proper rational as a
+``Fraction``: almost every coefficient is a product of terms +-q^k, and
+``int`` arithmetic skips ``Fraction``'s normalising.  Mixed values behave the
+same, since ``int`` and an integral ``Fraction`` agree on ``==``, ``hash``,
+``str``, ordering and ``numerator``/``denominator``.  Division and negative
+powers go through ``Fraction`` (``int / int`` would be a float).
 """
 
 from __future__ import annotations
@@ -18,10 +24,21 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _as_rational(value):
+    """A coefficient as an int when integral, else as a Fraction."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
 class LaurentScalar:
     """A finite sum ``sum_k c_k q**k`` with nonzero rational coefficients.
 
-    Stored as a map {exponent: Fraction}; the empty map is 0 and {0: 1} is 1.
+    Stored as a map {exponent: coefficient}, each coefficient an ``int`` or
+    a ``Fraction`` (integral values are ``int`` from construction); the empty
+    map is 0 and {0: 1} is 1.
     Instances are immutable by convention: no operation mutates its operands,
     so values can be shared freely (including across threads).
     """
@@ -29,13 +46,13 @@ class LaurentScalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for k, c in items:
                 if not isinstance(k, int):
                     raise TypeError(f"exponent must be int, got {type(k).__name__}")
-                c = clean.get(k, Fraction(0)) + _as_fraction(c)
+                c = clean.get(k, 0) + _as_rational(c)
                 if c:
                     clean[k] = c
                 else:
@@ -81,7 +98,7 @@ class LaurentScalar:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -107,11 +124,11 @@ class LaurentScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
+                s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
@@ -128,6 +145,8 @@ class LaurentScalar:
         result = LaurentScalar.__new__(LaurentScalar)
         if c == 1:
             result.terms = {e + k: v for e, v in self.terms.items()}
+        elif c == -1:
+            result.terms = {e + k: -v for e, v in self.terms.items()}
         else:
             result.terms = {e + k: c * v for e, v in self.terms.items()}
         return result
@@ -246,7 +265,7 @@ def random_scalar(rng, exp_bound: int = 2, num_bound: int = 3, nonzero: bool = T
             k = rng.randint(-exp_bound, exp_bound)
             num = rng.randint(-num_bound, num_bound)
             den = rng.randint(1, 2)
-            terms[k] = terms.get(k, Fraction(0)) + Fraction(num, den)
+            terms[k] = terms.get(k, 0) + (num if den == 1 else Fraction(num, den))
         value = LaurentScalar(terms)
         if value or not nonzero:
             return value

@@ -189,3 +189,10 @@ def test_check_determinism():
     code2, out2, _ = run_cli(*args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_check_at_smallest_sizes_tests_every_identity():
+    for n in ("1", "2"):
+        code, out, _ = run_cli("check", "all", "--n", n, "--deg", "1", "--trials", "1", "--seed", "3")
+        assert code == 0, out
+        assert "EMPTY" not in out and "(checks=0)" not in out

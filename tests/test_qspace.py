@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from qnspace.bicharacter import commutation_factor, pairing
+from qnspace.calculus import exterior_d
+from qnspace.hopf import antipode, coproduct
+from qnspace.parsing import parse
 from qnspace.qspace import (Element, check_algebra, monomial_box, monomials_up_to,
                             random_element, random_exponent, swap_scalar,
                             total_degree)
@@ -141,3 +145,39 @@ def test_string_and_json_round_trip():
 def test_check_algebra_suite():
     report = check_algebra(3, pairs=150, triples=60, seed=3)
     assert report.ok, report.render_text()
+
+
+def test_check_algebra_without_samples_is_empty_not_pass():
+    report = check_algebra(3, pairs=0, triples=0)
+    assert not report.ok
+    empty = [rep for rep in report.identities if rep.checks == 0]
+    assert len(empty) == 3
+    assert not any(rep.ok for rep in empty)
+    text = report.render_text()
+    assert text.startswith("suite algebra(n=3): FAIL")
+    assert text.count("  EMPTY ") == 3
+    assert not report.to_json()["ok"]
+
+
+def test_negative_power_divides_exactly():
+    inv = Element.monomial(2, (1, 0), 2) ** -1
+    (alpha, coeff), = inv.terms.items()
+    assert alpha == (-1, 0)
+    assert coeff.terms == {0: Fraction(1, 2)}
+    assert type(coeff.terms[0]) is Fraction
+    assert str(parse("2^-2 x1", "algebra", 2)) == "1/4 x1"
+
+
+def _coefficients(value):
+    for scalar in value.terms.values():
+        yield from scalar.terms.values()
+
+
+def test_no_float_coefficients_after_kernel_maps():
+    rng = random.Random(43)
+    for _ in range(20):
+        f = random_element(rng, 3, 3, -2, 2, 2)
+        g = random_element(rng, 3, 3, -2, 2, 2)
+        for value in (f * g, coproduct(f), antipode(f), exterior_d(f),
+                      exterior_d(f) * exterior_d(g), f ** 2):
+            assert all(type(c) in (int, Fraction) for c in _coefficients(value)), value

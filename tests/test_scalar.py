@@ -105,3 +105,37 @@ def test_shift_is_product_by_monomial():
         k = rng.randint(-6, 6)
         for c in (1, -1, 3, -3):
             assert s.shift(c, k) == s * LaurentScalar.q_power(k, c)
+
+
+def _as_fractions(s):
+    return LaurentScalar({k: Fraction(c) for k, c in s.terms.items()})
+
+
+def test_int_and_fraction_coefficients_agree():
+    rng = random.Random(41)
+    for _ in range(200):
+        s = random_scalar(rng, nonzero=False)
+        f = _as_fractions(s)
+        assert s == f and f == s
+        assert str(s) == str(f)
+        assert s.to_json() == f.to_json()
+        v = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        assert s.evaluate(v) == f.evaluate(v)
+        assert s.evaluate(2) == f.evaluate(2)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert LaurentScalar({0: True}).terms == {0: 1}
+    assert type(LaurentScalar({0: True}).terms[0]) is int
+    assert type(LaurentScalar({1: Fraction(6, 3)}).terms[1]) is int
+    assert type(LaurentScalar({1: Fraction(1, 3)}).terms[1]) is Fraction
+    rng = random.Random(42)
+    for _ in range(200):
+        s = random_scalar(rng, nonzero=False)
+        assert all(type(c) is int or c.denominator != 1 for c in s.terms.values())
+
+
+def test_coefficient_type_is_checked():
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            LaurentScalar({0: bad})
