@@ -71,7 +71,11 @@ def tokenize(text: str) -> list[Token]:
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
         start = match.start() + len(match.group()) - len(match.group().lstrip())
         if match.group("num") is not None:
-            tokens.append(Token("num", parse_rational(match.group("num")), start))
+            try:
+                value = parse_rational(match.group("num"))
+            except ValueError as exc:
+                raise ParseError(str(exc), start) from None
+            tokens.append(Token("num", value, start))
         elif match.group("name") is not None:
             name = match.group("name")
             if name == "q":

@@ -205,10 +205,12 @@ class LaurentScalar:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'num/den' or 'num' into a Fraction."""
+    """Parse 'num/den' or 'num' into a Fraction; ValueError if malformed."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

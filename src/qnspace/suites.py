@@ -2,12 +2,17 @@
 
 Each suite bundles the relevant module checkers under a stable name; given
 the same configuration (dimension, degree, trials, seed) the rendered output
-is byte-identical between runs.
+is byte-identical between runs.  The suites share no state beyond pure
+caches, so `run_suites` runs them in parallel worker processes.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import threading
+import time
 from dataclasses import dataclass
 
 from .bicharacter import (check_bicharacter_axioms, check_cocycle,
@@ -167,5 +172,49 @@ def resolve_suite_names(names) -> list[str]:
     return ordered
 
 
+def _run_suite(name: str, cfg: SuiteConfig) -> CheckReport:
+    return SUITES[name](cfg)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool worker initializer: end the worker once `parent` has gone.
+
+    A worker whose parent was killed would otherwise wait on its task queue
+    forever, because it holds that queue's write end itself.
+    """
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_suites(names, cfg: SuiteConfig) -> list[tuple[str, CheckReport]]:
-    return [(name, SUITES[name](cfg)) for name in resolve_suite_names(names)]
+    """Run the named suites and return (name, report) pairs in canonical order.
+
+    The suites run in up to one worker process per available CPU; with one
+    CPU or one suite they run in this process.  Either way the reports are
+    the same.
+    """
+    names = resolve_suite_names(names)
+    workers = min(len(names), _available_cpus())
+    if workers < 2:
+        return [(name, _run_suite(name, cfg)) for name in names]
+    # Imported here, so that importing the CLI does not pay for them.  Workers
+    # are spawned, not forked: a library caller may have threads, and a fork
+    # copies their locks in whatever state they are in.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"),
+                             initializer=_exit_with_parent, initargs=(os.getpid(),)) as pool:
+        reports = list(pool.map(_run_suite, names, itertools.repeat(cfg), chunksize=1))
+    return list(zip(names, reports))

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -109,6 +110,56 @@ def test_parse_error_exit_code():
     assert "error" in err
     code, _, err = run_cli("normalize", "dx1", "--n", "2")
     assert code == 2
+
+
+def test_zero_denominator_exits_2():
+    for argv in (["normalize", "1/0"], ["mul", "1/0", "x1"], ["coproduct", "1/0"],
+                 ["normalize", "1/0", "--context", "form"]):
+        code, out, err = run_cli(*argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: zero denominator in '1/0' (at position 0)\n"
+
+
+# Seeded mutations of valid expressions: each drops, duplicates or inserts
+# one of FUZZ_PIECES at random positions, one to three times.
+FUZZ_PIECES = ["/", "^", "(", ")", "-", "0", "x9", "q"]
+FUZZ_BASES = {
+    "algebra": ["x1 x2^2 - q^-1 x3", "1/2 x1^-1 + 3/4 q x2", "(x1 + 2/3 x2) x3 - 10",
+                "q^2 (x2 - 1/5) x1", "-x3^2 + 7/10 x1 x2"],
+    "form": [r"x1 dx2 + 1/2 q dx1 /\ dx3", "x2 dx1 - 3/10 dx2 x1^-1", r"(dx1 + q x3) /\ dx2 + 2/3"],
+}
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and at < len(text):
+            text = text[:at] + text[at + 1:]
+        elif edit == 1 and at < len(text):
+            text = text[:at] + text[at] + text[at:]
+        else:
+            text = text[:at] + rng.choice(FUZZ_PIECES) + text[at:]
+    return text
+
+
+def test_seeded_cli_fuzz_exits_cleanly():
+    rng = random.Random(2024)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(400):
+        command = rng.choice(["normalize", "mul", "coproduct", "d"])
+        bases = FUZZ_BASES["form" if command == "d" else "algebra"]
+        exprs = [_mutate(rng, rng.choice(bases)) for _ in range(2 if command == "mul" else 1)]
+        argv = [command, "--n", "3", "--", *exprs]
+        try:
+            code, _, err = run_cli(*argv)
+        except Exception as exc:  # every outcome must be an exit code
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in codes, argv
+        assert "Traceback" not in err
+        codes[code] += 1
+    assert codes[0] and codes[2]
 
 
 def test_unknown_suite_exit_code():

@@ -62,6 +62,17 @@ def test_syntax_error_carries_position():
         parse("x1 x2)", "algebra", 2)
 
 
+@pytest.mark.parametrize("context", ["algebra", "operator", "form", "scalar"])
+def test_zero_denominator_is_a_parse_error(context):
+    with pytest.raises(ParseError) as err:
+        parse("1/0", context, 2)
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse("q + 3/00", context, 2)
+    assert err.value.position == 4
+    assert "zero denominator" in str(err.value)
+
+
 @pytest.mark.parametrize("text,context", [
     ("dx1", "algebra"),
     ("d1", "algebra"),

@@ -159,6 +159,24 @@ def test_check_algebra_without_samples_is_empty_not_pass():
     assert not report.to_json()["ok"]
 
 
+def test_failure_witnesses_are_capped(monkeypatch):
+    from qnspace.bicharacter import vector_add
+    from qnspace.report import MAX_WITNESSES
+
+    # A faulty merge: the q-exponent of x^a x^b taken as pairing(b, a).
+    monkeypatch.setattr(Element, "_merge", staticmethod(lambda a, b: (1, pairing(b, a), vector_add(a, b))))
+    report = check_algebra(3, pairs=200, triples=1)
+    etacomm = next(rep for rep in report.identities if rep.identity.startswith("mul.eta-commutative"))
+    assert etacomm.failed > MAX_WITNESSES
+    assert len(etacomm.failures) == MAX_WITNESSES
+    assert etacomm.checks == 200 and etacomm.status == "FAIL"
+    text = report.render_text()
+    assert f"(checks=200 failures={etacomm.failed})" in text
+    assert text.count("    inputs: ") == sum(len(rep.failures) for rep in report.identities)
+    data = next(d for d in report.to_json()["identities"] if d["identity"] == etacomm.identity)
+    assert data["failed"] == etacomm.failed and len(data["failures"]) == MAX_WITNESSES
+
+
 def test_negative_power_divides_exactly():
     inv = Element.monomial(2, (1, 0), 2) ** -1
     (alpha, coeff), = inv.terms.items()

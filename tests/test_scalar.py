@@ -98,6 +98,13 @@ def test_parse_rational():
     assert parse_rational("7") == Fraction(7)
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        LaurentScalar.from_json({"coeff": [[0, "1/0"]]})
+
+
 def test_shift_is_product_by_monomial():
     rng = random.Random(31)
     for _ in range(200):
