@@ -20,6 +20,9 @@ from __future__ import annotations
 from .report import CheckReport
 from .scalar import LaurentScalar
 
+# The checkers draw every tuple entry from [-TUPLE_BOUND, TUPLE_BOUND].
+TUPLE_BOUND = 6
+
 
 def _same_dimension(a, b) -> None:
     if len(a) != len(b):
@@ -69,7 +72,7 @@ def random_tuple(rng, n: int, bound: int) -> tuple[int, ...]:
     return tuple(rng.randint(-bound, bound) for _ in range(n))
 
 
-def check_bicharacter_axioms(n: int, trials: int = 500, seed: int = 0, bound: int = 6) -> CheckReport:
+def check_bicharacter_axioms(n: int, trials: int = 500, seed: int = 0) -> CheckReport:
     """Multiplicativity, unit, and inverse/diagonal laws of the commutation
     factor on random tuples, plus the exact basis values q^(j-i)."""
     if trials < 1:
@@ -85,9 +88,9 @@ def check_bicharacter_axioms(n: int, trials: int = 500, seed: int = 0, bound: in
     zero = (0,) * n
     one = LaurentScalar.one()
     for _ in range(trials):
-        a = random_tuple(rng, n, bound)
-        b = random_tuple(rng, n, bound)
-        c = random_tuple(rng, n, bound)
+        a = random_tuple(rng, n, TUPLE_BOUND)
+        b = random_tuple(rng, n, TUPLE_BOUND)
+        c = random_tuple(rng, n, TUPLE_BOUND)
         inputs = f"a={list(a)} b={list(b)} c={list(c)}"
         add_left.record(inputs, commutation_factor(vector_add(a, b), c),
                         commutation_factor(a, c) * commutation_factor(b, c))
@@ -106,7 +109,7 @@ def check_bicharacter_axioms(n: int, trials: int = 500, seed: int = 0, bound: in
     return report
 
 
-def check_cocycle(n: int, trials: int = 500, seed: int = 0, bound: int = 6) -> CheckReport:
+def check_cocycle(n: int, trials: int = 500, seed: int = 0) -> CheckReport:
     """2-cocycle identity eta(a,b)eta(a+b,c) = eta(b,c)eta(a,b+c) on random triples."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -116,16 +119,16 @@ def check_cocycle(n: int, trials: int = 500, seed: int = 0, bound: int = 6) -> C
     report = CheckReport(f"cocycle(n={n})")
     cocycle = report.new("eta.cocycle: eta(a,b)eta(a+b,c) = eta(b,c)eta(a,b+c)")
     for _ in range(trials):
-        a = random_tuple(rng, n, bound)
-        b = random_tuple(rng, n, bound)
-        c = random_tuple(rng, n, bound)
+        a = random_tuple(rng, n, TUPLE_BOUND)
+        b = random_tuple(rng, n, TUPLE_BOUND)
+        c = random_tuple(rng, n, TUPLE_BOUND)
         lhs = commutation_factor(a, b) * commutation_factor(vector_add(a, b), c)
         rhs = commutation_factor(b, c) * commutation_factor(a, vector_add(b, c))
         cocycle.record(f"a={list(a)} b={list(b)} c={list(c)}", lhs, rhs)
     return report
 
 
-def check_pairing_identities(n: int, trials: int = 200, seed: int = 0, bound: int = 6) -> CheckReport:
+def check_pairing_identities(n: int, trials: int = 200, seed: int = 0) -> CheckReport:
     """Closed forms of the pairing against basis vectors, and bi-additivity.
 
     For every b:
@@ -147,7 +150,7 @@ def check_pairing_identities(n: int, trials: int = 200, seed: int = 0, bound: in
         diff_right = report.new("pairing.step-right: pairing(b,e_i-e_{i+1}) = -sum_{s>i}b_s")
     biadd = report.new("pairing.bi-additive")
     for _ in range(trials):
-        b = random_tuple(rng, n, bound)
+        b = random_tuple(rng, n, TUPLE_BOUND)
         inputs = f"b={list(b)}"
         for i in range(1, n + 1):
             e_i = basis_vector(n, i)
@@ -161,8 +164,8 @@ def check_pairing_identities(n: int, trials: int = 200, seed: int = 0, bound: in
                              sum(b[s - 1] for s in range(1, i + 1)))
             diff_right.record(f"{inputs} i={i}", pairing(b, step),
                               -sum(b[s - 1] for s in range(i + 1, n + 1)))
-        a = random_tuple(rng, n, bound)
-        c = random_tuple(rng, n, bound)
+        a = random_tuple(rng, n, TUPLE_BOUND)
+        c = random_tuple(rng, n, TUPLE_BOUND)
         biadd.record(f"a={list(a)} b={list(b)} c={list(c)}",
                      pairing(vector_add(a, b), c), pairing(a, c) + pairing(b, c))
         biadd.record(f"a={list(a)} b={list(b)} c={list(c)}",

@@ -19,54 +19,82 @@ anti-homomorphism by reversing the generator word.  Tensor products carry the
 usual componentwise multiplication (a x b)(c x d) = ac x bd.  The coordinate
 coproduct is cocommutative; the operator coproduct is not, and the checker
 asserts that failure exactly.
+
+On a basis key both extensions are closed forms.  Write |a'| = a2+...+an,
+|a| = a1+|a'|, C = commutation_exponent, and let k run over 0 <= k <= a'
+(or beta) entrywise, with m = a' - k (or beta - k):
+
+    S(x^a)       = (-1)^|a'| q^(|a| sum_i (i-1) a_i) x1^(-a1-2|a'|) x2^a2 ... xn^an
+    S(s^g d^b)   = (-1)^|b| q^C(g,b) s^(-g-b) d^b
+    D(x^a)       = sum_k prod_i C(a_i,k_i) q^E x^(a1+|m|, k2..kn) (x) x^(a1+|k|, m2..mn),
+                   E = -sum_{i<=j} (i-1) k_i m_j - sum_{i<j} (i-1) m_i k_j
+    D(s^g d^b)   = sum_k prod_i C(b_i,k_i) q^(-pairing(m,k)) s^(g+m) d^k (x) s^g d^m
+
+Proofs.  The merge exponent w of either carrier is bilinear in its two keys
+(pairing(a, b); C(b1, g2) + pairing(b1, b2) for words), so a product of keys
+v_1 ... v_r is q^(sum_{s<t} w(v_s, v_t)) times the key v_1 + ... + v_r.
+- S(x^a) = S(xn)^an ... S(x2)^a2 x1^-a1, S(x_i) = -q^(i-1) x^(e_i-2e_1).  Pairs
+  of factors give pairing(e_i-2e_1, e_j-2e_1) = (i-1)+(j-1) for i > j and
+  2(i-1) for i = j, and (i-1) a1 against x1^-a1: |a| sum_i (i-1) a_i in all.
+- S(s^g d^b) = S(d_n)^bn ... S(d_1)^b1 s^-g, S(d_i) = -s_i^-1 d_i, and
+  w((-e_i, e_i), (-e_j, e_j)) = pairing(e_j, e_i) = 0 for i >= j, while
+  w((-b, b), (-g, 0)) = C(g, b).
+- The two terms of D(x_i) commute (their legs commute by q^(1-i) and
+  q^(i-1)), so by the binomial theorem (Kassel, Quantum Groups, GTM 155,
+  IV.2, commutation factor 1) D(x_i)^a_i = sum_k C(a_i,k) x_i^k x1^m (x)
+  x1^k x_i^m.  In the left leg x1^a1 x2^k2 x1^m2 ... xn^kn x1^mn, moving
+  x1^m_j past x_i^k_i (i <= j) costs q^(-(i-1) k_i m_j); in the right leg
+  x1^a1 x1^k2 x2^m2 ..., moving x1^k_j past x_i^m_i (i < j), q^(-(i-1) m_i k_j).
+- The two terms of D(d_i) commute as eta(e_i, e_i) = 1, so D(d_i)^b_i =
+  sum_k C(b_i,k) s_i^m d_i^k (x) d_i^m.  The right leg s^g d^m is in normal
+  form; in the left leg moving s_j^m_j past d_i^k_i (i < j) costs
+  q^((j-i) k_i m_j), which sums to -pairing(m, k).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import product
+from math import comb, prod
 from typing import Callable, NamedTuple
 
-from .bicharacter import basis_vector, commutation_factor, vector_add, vector_neg
-from .operators import Operator, apply_word, word_key_mul, words_up_to
-from .qspace import Element, monomial_key_mul
+from .bicharacter import (basis_vector, commutation_exponent, commutation_factor, pairing,
+                          vector_add, vector_neg)
+from .operators import Operator, apply_word, sigma as apply_sigma, word_key_mul, words_up_to
+from .qspace import Element, monomial_key_mul, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar, format_term, join_terms
 from .tensors import Tensor, expansion
 
-
-def aq_tensor(n: int, slots: int = 2, terms=None) -> Tensor:
-    return Tensor((monomial_key_mul,) * slots, terms)
-
-
-def dq_tensor(n: int, slots: int = 2, terms=None) -> Tensor:
-    return Tensor((word_key_mul,) * slots, terms)
+# A coproduct is cached per key; the keys are arbitrary exponents, so the
+# caches are bounded.  `check all --n 3 --deg 4` holds a few hundred keys.
+COPRODUCT_CACHE_SIZE = 4096
 
 
-def _zero_key(n: int):
-    return (0,) * n
+def _binomial_box(exponents):
+    """(k, m, prod_i C(e_i, k_i)) for every 0 <= k <= exponents entrywise,
+    with m = exponents - k."""
+    for k in product(*(range(e + 1) for e in exponents)):
+        yield k, tuple(e - ki for e, ki in zip(exponents, k)), prod(map(comb, exponents, k))
 
 
 # ---------------------------------------------------------------------------
 # Coordinate algebra side
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COPRODUCT_CACHE_SIZE)
 def _monomial_coproduct(n: int, alpha) -> Tensor:
-    zero = _zero_key(n)
-    out = aq_tensor(n, 2, {(zero, zero): 1})
-    a1 = alpha[0]
-    if a1:
-        step = 1 if a1 > 0 else -1
-        x1_like = (step,) + (0,) * (n - 1)
-        grouplike = aq_tensor(n, 2, {(x1_like, x1_like): 1})
-        for _ in range(abs(a1)):
-            out = out * grouplike
-    for i in range(2, n + 1):
-        e_i = basis_vector(n, i)
-        e_1 = basis_vector(n, 1)
-        primitive_like = aq_tensor(n, 2, {(e_i, e_1): 1, (e_1, e_i): 1})
-        for _ in range(alpha[i - 1]):
-            out = out * primitive_like
-    return out
+    a1, rest = alpha[0], alpha[1:]
+    terms = {}
+    for k, m, binomial in _binomial_box(rest):
+        # E of the module docstring, summed over j = 2..n (weight j-1):
+        # wk = sum_{i<=j} (i-1) k_i and wm = sum_{i<j} (i-1) m_i.
+        exponent = wk = wm = 0
+        for weight, (k_j, m_j) in enumerate(zip(k, m), start=1):
+            wk += weight * k_j
+            exponent -= wk * m_j + wm * k_j
+            wm += weight * m_j
+        terms[(a1 + sum(m),) + k, (a1 + sum(k),) + m] = LaurentScalar.q_power(exponent, binomial)
+    return Tensor((monomial_key_mul,) * 2, terms)
 
 
 def _counit_key_aq(alpha) -> int:
@@ -74,51 +102,24 @@ def _counit_key_aq(alpha) -> int:
     return 0 if any(alpha[1:]) else 1
 
 
-@lru_cache(maxsize=None)
-def _monomial_antipode(n: int, alpha) -> Element:
-    # Reverse the generator word: S(x^a) = S(xn)^an ... S(x2)^a2 x1^(-a1).
-    x1inv = Element.x1_inverse(n)
-    out = Element.one(n)
-    for i in range(n, 1, -1):
-        s_xi = -(x1inv * Element.generator(n, i) * x1inv)
-        for _ in range(alpha[i - 1]):
-            out = out * s_xi
-    return out * Element.monomial(n, (-alpha[0],) + (0,) * (n - 1))
-
-
-def _antipode_key(antipode_of):
-    """The key map of S, from a function giving the antipode of one key;
-    S sends a basis key to a single c q**k times a key."""
-    def fn(key):
-        image, coeff = antipode_of(key).single_term()
-        (k, c), = coeff.terms.items()
-        return c, k, image
-    return fn
+def _antipode_aq(alpha):
+    """The key map of S on the coordinate algebra."""
+    a1, rest = alpha[0], alpha[1:]
+    degree = sum(rest)
+    weight = sum(i * a for i, a in enumerate(rest, start=1))
+    sign = -1 if degree % 2 else 1
+    return sign, (a1 + degree) * weight, (-a1 - 2 * degree,) + rest
 
 
 # ---------------------------------------------------------------------------
 # Operator algebra side
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COPRODUCT_CACHE_SIZE)
 def _word_coproduct(n: int, word) -> Tensor:
     gamma, beta = word
-    zero = _zero_key(n)
-    unit = ((zero, zero), (zero, zero))
-    out = dq_tensor(n, 2, {unit: 1})
-    for i in range(1, n + 1):
-        g = gamma[i - 1]
-        if g:
-            key = (tuple(g if k == i - 1 else 0 for k in range(n)), zero)
-            out = out * dq_tensor(n, 2, {(key, key): 1})
-    for i in range(1, n + 1):
-        e_i = basis_vector(n, i)
-        d_key = (zero, e_i)
-        s_key = (e_i, zero)
-        unit_key = (zero, zero)
-        primitive_like = dq_tensor(n, 2, {(d_key, unit_key): 1, (s_key, d_key): 1})
-        for _ in range(beta[i - 1]):
-            out = out * primitive_like
-    return out
+    return Tensor((word_key_mul,) * 2, {
+        ((vector_add(gamma, m), k), (gamma, m)): LaurentScalar.q_power(-pairing(m, k), binomial)
+        for k, m, binomial in _binomial_box(beta)})
 
 
 def _counit_key_dq(key) -> int:
@@ -126,33 +127,27 @@ def _counit_key_dq(key) -> int:
     return 0 if any(key[1]) else 1
 
 
-@lru_cache(maxsize=None)
-def _word_antipode(n: int, word) -> Operator:
+def _antipode_dq(word):
+    """The key map of S on the operator algebra."""
     gamma, beta = word
-    out = Operator.one(n)
-    for i in range(n, 0, -1):
-        e_i = basis_vector(n, i)
-        s_di = Operator.word(n, vector_neg(e_i), e_i, -1)  # S(d_i) = -s_i^-1 d_i
-        for _ in range(beta[i - 1]):
-            out = out * s_di
-    return out * Operator.sigma_word(n, vector_neg(gamma))
+    sign = -1 if sum(beta) % 2 else 1
+    return sign, commutation_exponent(gamma, beta), (vector_neg(vector_add(gamma, beta)), beta)
 
 
 # ---------------------------------------------------------------------------
 # Public entry points (dispatch on the carrier)
 
 class _HopfMaps(NamedTuple):
-    """The slot merge of a carrier's tensors and its structure maps on one
-    key; coproduct and antipode take the dimension first."""
-    slot_mul: Callable
+    """The structure maps of a carrier on one key; the coproduct takes the
+    dimension first."""
     coproduct: Callable
     counit: Callable
     antipode: Callable
 
 
 _HOPF_MAPS = {
-    Element: _HopfMaps(monomial_key_mul, _monomial_coproduct, _counit_key_aq, _monomial_antipode),
-    Operator: _HopfMaps(word_key_mul, _word_coproduct, _counit_key_dq, _word_antipode),
+    Element: _HopfMaps(_monomial_coproduct, _counit_key_aq, _antipode_aq),
+    Operator: _HopfMaps(_word_coproduct, _counit_key_dq, _antipode_dq),
 }
 
 
@@ -165,8 +160,8 @@ def _hopf_maps(value, name: str) -> _HopfMaps:
 
 def coproduct(value) -> Tensor:
     """Coproduct of an Element or Operator, as a 2-slot tensor."""
-    maps = _hopf_maps(value, "coproduct")
-    return value.linear(partial(maps.coproduct, value.n), Tensor((maps.slot_mul,) * 2))
+    coproduct_of = _hopf_maps(value, "coproduct").coproduct
+    return value.linear(partial(coproduct_of, value.n), Tensor((value._merge,) * 2))
 
 
 def counit(value) -> LaurentScalar:
@@ -175,7 +170,7 @@ def counit(value) -> LaurentScalar:
 
 
 def antipode(value):
-    return value.linear(partial(_hopf_maps(value, "antipode").antipode, value.n), value)
+    return value.map_keys(_hopf_maps(value, "antipode").antipode)
 
 
 def tau(t: Tensor) -> Tensor:
@@ -253,7 +248,6 @@ def check_hopf_coordinate_algebra(n: int, monomials, pair_samples: int = 300,
     report = CheckReport(f"hopf-coordinate(n={n})")
     monomials = sorted(monomials)
     expand = _coproduct_expand_aq(n)
-    antipode_key = _antipode_key(partial(_monomial_antipode, n))
 
     coassoc = report.new("coassociativity: (D x id)D = (id x D)D")
     counit_law = report.new("counit: (e x id)D = id = (id x e)D")
@@ -273,10 +267,10 @@ def check_hopf_coordinate_algebra(n: int, monomials, pair_samples: int = 300,
         counit_law.record(inputs, tensor1_to_element(t.contract_slot(0, _counit_key_aq), n), f)
         counit_law.record(inputs, tensor1_to_element(t.contract_slot(1, _counit_key_aq), n), f)
         eps_f = Element.one(n).scale(counit(f))
-        antipode_left.record(inputs, tensor1_to_element(t.map_slot(0, antipode_key).merge_slots(0), n), eps_f)
-        antipode_right.record(inputs, tensor1_to_element(t.map_slot(1, antipode_key).merge_slots(0), n), eps_f)
+        antipode_left.record(inputs, tensor1_to_element(t.map_slot(0, _antipode_aq).merge_slots(0), n), eps_f)
+        antipode_right.record(inputs, tensor1_to_element(t.map_slot(1, _antipode_aq).merge_slots(0), n), eps_f)
         cocomm.record(inputs, tau(t), t)
-        anti_coalg.record(inputs, tau(t.map_slot(0, antipode_key).map_slot(1, antipode_key)),
+        anti_coalg.record(inputs, tau(t.map_slot(0, _antipode_aq).map_slot(1, _antipode_aq)),
                           coproduct(antipode(f)))
         counit_s.record(inputs, counit(antipode(f)), counit(f))
         s_squared.record(inputs, antipode(antipode(f)), f)
@@ -320,7 +314,6 @@ def check_hopf_operator_algebra(n: int, word_degree: int = 3, seed: int = 0) -> 
     rng = random.Random(f"{seed}:dq-hopf:{n}")
     report = CheckReport(f"hopf-operator(n={n})")
     expand = expansion(partial(_word_coproduct, n))
-    antipode_key = _antipode_key(partial(_word_antipode, n))
 
     coassoc = report.new("coassociativity: (D x id)D = (id x D)D")
     counit_law = report.new("counit: (e x id)D = id = (id x e)D")
@@ -335,8 +328,8 @@ def check_hopf_operator_algebra(n: int, word_degree: int = 3, seed: int = 0) -> 
         counit_law.record(inputs, tensor1_to_operator(t.contract_slot(0, _counit_key_dq), n), u)
         counit_law.record(inputs, tensor1_to_operator(t.contract_slot(1, _counit_key_dq), n), u)
         eps_u = Operator.one(n).scale(counit(u))
-        antipode_left.record(inputs, tensor1_to_operator(t.map_slot(0, antipode_key).merge_slots(0), n), eps_u)
-        antipode_right.record(inputs, tensor1_to_operator(t.map_slot(1, antipode_key).merge_slots(0), n), eps_u)
+        antipode_left.record(inputs, tensor1_to_operator(t.map_slot(0, _antipode_dq).merge_slots(0), n), eps_u)
+        antipode_right.record(inputs, tensor1_to_operator(t.map_slot(1, _antipode_dq).merge_slots(0), n), eps_u)
 
     relations = report.new("relation-preservation under D")
     rel_eps = report.new("relation-preservation under e")
@@ -397,14 +390,10 @@ def check_module_algebra(n: int, samples: int = 200, seed: int = 0) -> CheckRepo
     with f a random monomial and g a random element."""
     import random
 
-    from .qspace import random_element, random_exponent
-
     rng = random.Random(f"{seed}:module-algebra:{n}")
     report = CheckReport(f"module-algebra(n={n})")
     partial_case = report.new("module-algebra: m(D(d_i)(f x g)) = d_i(fg)")
     sigma_case = report.new("module-algebra: m(D(s_i)(f x g)) = s_i(fg) = s_i(f)s_i(g)")
-    from .operators import sigma as apply_sigma
-
     for _ in range(samples):
         alpha = random_exponent(rng, n, -3, 4, 4)
         f = Element.monomial(n, alpha)

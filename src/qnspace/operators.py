@@ -335,7 +335,7 @@ def check_derivations(n: int, deg_bound: int = 4, samples: int = 200, seed: int 
     return report
 
 
-def check_operator_algebra(n: int, samples: int = 200, seed: int = 0, max_len: int = 6) -> CheckReport:
+def check_operator_algebra(n: int, samples: int = 200, seed: int = 0) -> CheckReport:
     """Confluence of the word rewriting, representation property of the
     action, product associativity, and sigma invertibility."""
     import random
@@ -345,7 +345,7 @@ def check_operator_algebra(n: int, samples: int = 200, seed: int = 0, max_len: i
 
     confluent = report.new("rewriting.confluent: all strategies agree with the merged product")
     for _ in range(samples):
-        letters = random_letters(rng, n, max_len)
+        letters = random_letters(rng, n)
         merged = letters_to_operator(n, letters)
         inputs = f"letters={letters}"
         confluent.record(inputs, reduce_word(n, letters, "left"), merged)

@@ -50,16 +50,15 @@ class _Criterion:
 def test_criterion_1_bicharacter_and_cocycle():
     crit = _Criterion(1, "bicharacter axioms + 2-cocycle, n in 1..4, 500 trials, bound 6", 5)
     for n in (1, 2, 3, 4):
-        crit.add(check_bicharacter_axioms(n, trials=500, seed=SEED, bound=6))
-        crit.add(check_cocycle(n, trials=500, seed=SEED, bound=6))
+        crit.add(check_bicharacter_axioms(n, trials=500, seed=SEED))
+        crit.add(check_cocycle(n, trials=500, seed=SEED))
     crit.finish()
 
 
 def test_criterion_2_algebra():
     crit = _Criterion(2, "merge law vs swap oracle (1000 pairs), associativity (300), "
                          "eta-commutativity (300), n=3, exponents in [-3,4]", 10)
-    crit.add(check_algebra(3, pairs=1000, triples=300, seed=SEED,
-                           x1_low=-3, x1_high=4, rest_high=4))
+    crit.add(check_algebra(3, pairs=1000, triples=300, seed=SEED))
     crit.finish()
 
 
@@ -79,7 +78,7 @@ def test_criterion_4_derivations():
                          "(degree <= 4 sweep + 200 pairs), confluence on 200 words", 30)
     crit.add(check_derivations(3, deg_bound=4, samples=200, seed=SEED))
     crit.add(weyl_relation_check(3, deg_bound=4))
-    crit.add(check_operator_algebra(3, samples=200, seed=SEED, max_len=6))
+    crit.add(check_operator_algebra(3, samples=200, seed=SEED))
     crit.finish()
 
 
@@ -113,7 +112,7 @@ def test_criterion_7_maurer_cartan():
 def test_criterion_8_vector_fields():
     crit = _Criterion(8, "vector fields: commutation, coordinate relations, d = sum w_i T_i, "
                          "q-Leibniz, coproduct consistency, antipode data; degree <= 4, a1 >= -2", 30)
-    crit.add(check_vector_fields(3, deg_bound=4, samples=200, seed=SEED, x1_min=-2))
+    crit.add(check_vector_fields(3, deg_bound=4, samples=200, seed=SEED))
     crit.finish()
 
 

@@ -72,11 +72,11 @@ def test_pairing_bi_additive_random():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_axiom_checkers_pass(n):
-    report = check_bicharacter_axioms(n, trials=200, seed=1, bound=6)
+    report = check_bicharacter_axioms(n, trials=200, seed=1)
     assert report.ok, report.render_text()
-    report = check_cocycle(n, trials=200, seed=1, bound=6)
+    report = check_cocycle(n, trials=200, seed=1)
     assert report.ok, report.render_text()
-    report = check_pairing_identities(n, trials=100, seed=1, bound=6)
+    report = check_pairing_identities(n, trials=100, seed=1)
     assert report.ok, report.render_text()
 
 

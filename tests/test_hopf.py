@@ -1,20 +1,151 @@
 import random
+import signal
+from itertools import product
+from math import comb
 
 import pytest
 
-from qnspace.hopf import (antipode, apply_pair_tensor, aq_tensor,
-                          check_hopf_coordinate_algebra,
+from qnspace.bicharacter import basis_vector, vector_neg
+from qnspace.hopf import (_monomial_coproduct, _word_coproduct, antipode,
+                          apply_pair_tensor, check_hopf_coordinate_algebra,
                           check_hopf_operator_algebra, check_module_algebra,
-                          coproduct, counit, dq_tensor, tau,
-                          tensor1_to_element, tensor_from_json, tensor_text,
-                          tensor_to_json)
-from qnspace.operators import Operator
-from qnspace.qspace import Element, monomials_up_to, random_element
+                          coproduct, counit, tau, tensor1_to_element,
+                          tensor_from_json, tensor_text, tensor_to_json)
+from qnspace.operators import Operator, word_key_mul, words_up_to
+from qnspace.qspace import Element, monomial_key_mul, monomials_up_to, random_element
 from qnspace.scalar import LaurentScalar
+from qnspace.tensors import Tensor
 
 
 def x(n, i):
     return Element.generator(n, i)
+
+
+def aq_tensor(n, slots=2, terms=None):
+    return Tensor((monomial_key_mul,) * slots, terms)
+
+
+def dq_tensor(n, slots=2, terms=None):
+    return Tensor((word_key_mul,) * slots, terms)
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: D and S of one basis key, multiplied out of the
+# generator images once per unit of exponent.  They are the oracles of the
+# closed forms in qnspace.hopf.
+
+def reference_monomial_coproduct(n, alpha):
+    zero = (0,) * n
+    out = aq_tensor(n, 2, {(zero, zero): 1})
+    a1 = alpha[0]
+    if a1:
+        step = 1 if a1 > 0 else -1
+        x1_like = (step,) + (0,) * (n - 1)
+        grouplike = aq_tensor(n, 2, {(x1_like, x1_like): 1})
+        for _ in range(abs(a1)):
+            out = out * grouplike
+    for i in range(2, n + 1):
+        e_i = basis_vector(n, i)
+        e_1 = basis_vector(n, 1)
+        primitive_like = aq_tensor(n, 2, {(e_i, e_1): 1, (e_1, e_i): 1})
+        for _ in range(alpha[i - 1]):
+            out = out * primitive_like
+    return out
+
+
+def reference_monomial_antipode(n, alpha):
+    # Reverse the generator word: S(x^a) = S(xn)^an ... S(x2)^a2 x1^(-a1).
+    x1inv = Element.x1_inverse(n)
+    out = Element.one(n)
+    for i in range(n, 1, -1):
+        s_xi = -(x1inv * Element.generator(n, i) * x1inv)
+        for _ in range(alpha[i - 1]):
+            out = out * s_xi
+    return out * Element.monomial(n, (-alpha[0],) + (0,) * (n - 1))
+
+
+def reference_word_coproduct(n, word):
+    gamma, beta = word
+    zero = (0,) * n
+    unit = ((zero, zero), (zero, zero))
+    out = dq_tensor(n, 2, {unit: 1})
+    for i in range(1, n + 1):
+        g = gamma[i - 1]
+        if g:
+            key = (tuple(g if k == i - 1 else 0 for k in range(n)), zero)
+            out = out * dq_tensor(n, 2, {(key, key): 1})
+    for i in range(1, n + 1):
+        e_i = basis_vector(n, i)
+        d_key = (zero, e_i)
+        s_key = (e_i, zero)
+        unit_key = (zero, zero)
+        primitive_like = dq_tensor(n, 2, {(d_key, unit_key): 1, (s_key, d_key): 1})
+        for _ in range(beta[i - 1]):
+            out = out * primitive_like
+    return out
+
+
+def reference_word_antipode(n, word):
+    gamma, beta = word
+    out = Operator.one(n)
+    for i in range(n, 0, -1):
+        e_i = basis_vector(n, i)
+        s_di = Operator.word(n, vector_neg(e_i), e_i, -1)  # S(d_i) = -s_i^-1 d_i
+        for _ in range(beta[i - 1]):
+            out = out * s_di
+    return out * Operator.sigma_word(n, vector_neg(gamma))
+
+
+def test_closed_forms_match_reference_builders():
+    for n in (2, 3, 4):
+        for alpha in product(range(-2, 3), *[range(4)] * (n - 1)):
+            f = Element.monomial(n, alpha)
+            assert coproduct(f) == reference_monomial_coproduct(n, alpha), alpha
+            assert antipode(f) == reference_monomial_antipode(n, alpha), alpha
+    words = [(n, word) for n in (1, 2, 3) for word in words_up_to(n, 4)]
+    words += [(4, word) for word in words_up_to(4, 3)]
+    for n, word in words:
+        u = Operator(n, {word: 1})
+        assert coproduct(u) == reference_word_coproduct(n, word), word
+        assert antipode(u) == reference_word_antipode(n, word), word
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs longer than a few seconds (POSIX only)."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs signal.SIGALRM")
+
+    def expire(signum, frame):
+        raise TimeoutError("ran out of its time budget")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_coproduct_of_large_x1_power(deadline):
+    key = (-2000000, 0)
+    assert coproduct(Element.monomial(2, key)) == aq_tensor(2, 2, {(key, key): 1})
+
+
+def test_coproduct_of_large_x2_power(deadline):
+    t = coproduct(Element.monomial(2, (0, 800)))
+    assert t == aq_tensor(2, 2, {((800 - k, k), (k, 800 - k)): LaurentScalar.q_power(-k * (800 - k), comb(800, k))
+                                 for k in range(801)})
+    assert len(t.terms) == 801
+
+
+def test_antipode_of_large_powers(deadline):
+    assert antipode(Element.monomial(2, (0, 1000000))) == \
+        Element.monomial(2, (-2000000, 1000000), LaurentScalar.q_power(1000000000000))
+    assert antipode(Operator.word(2, (0, 0), (0, 1000000))) == Operator.word(2, (0, -1000000), (0, 1000000))
+
+
+def test_coproduct_caches_are_bounded():
+    for cached in (_monomial_coproduct, _word_coproduct):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_coproduct_of_x1_powers_is_grouplike():

@@ -134,6 +134,15 @@ def test_monomial_enumerators():
     assert all(a[0] >= -1 for a in monomials_up_to(3, 3, x1_min=-1))
 
 
+def test_random_element_keeps_its_exponent_bounds():
+    # The suites draw their samples from these bounds; an element drawn
+    # outside them tests other inputs without changing the printed verdict.
+    rng = random.Random(8)
+    keys = [key for _ in range(200) for key in random_element(rng, 3, 3, -2, 1, 1).terms]
+    assert all(-2 <= a1 <= 1 and 0 <= a2 <= 1 and 0 <= a3 <= 1 for a1, a2, a3 in keys)
+    assert {key[0] for key in keys} == {-2, -1, 0, 1}
+
+
 def test_string_and_json_round_trip():
     f = Element(2, {(1, 1): LaurentScalar.q_power(-1), (0, 0): LaurentScalar({0: 2, 1: 1})})
     assert str(f) == "(q + 2) + q^-1 x1 x2"
