@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bicharacter import basis_vector, commutation_exponent, pairing, vector_add
-from .operators import derive_key, sigma
+from .operators import act_key, sigma
 from .qspace import Element, monomial_key_mul, monomial_str, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar, format_term, join_terms
@@ -203,7 +203,7 @@ def _d_monomial(n: int, alpha):
     """d(x^alpha) as key-map triples (a_i, k, ((i,), alpha - e_i)), one per dx_i."""
     out = []
     for i in range(1, n + 1):
-        mapped = derive_key(i, basis_vector(n, i), alpha)
+        mapped = act_key(((0,) * n, basis_vector(n, i)), alpha)
         if mapped is not None:
             c, k, key = mapped
             out.append((c, k, ((i,), key)))

@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 
 from .bicharacter import (basis_vector, commutation_exponent, commutation_factor, pairing,
                           vector_add, vector_neg)
-from .operators import Operator, apply_word, sigma as apply_sigma, word_key_mul, words_up_to
+from .operators import Operator, act_key, sigma as apply_sigma, word_key_mul, words_up_to
 from .qspace import Element, monomial_key_mul, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar, format_term, join_terms
@@ -228,7 +228,8 @@ def tensor_from_json(data) -> Tensor:
 
 def apply_pair_tensor(t: Tensor, f: Element, g: Element) -> Element:
     """Act with a 2-slot operator tensor on f (x) g and multiply the legs."""
-    return t.linear(lambda keys: apply_word(keys[0], f) * apply_word(keys[1], g), f)
+    return t.linear(lambda keys: f.map_keys(partial(act_key, keys[0]))
+                    * g.map_keys(partial(act_key, keys[1])), f)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,23 @@ so two words multiply to a single word with a q-power:
 
     (s^g1 d^b1)(s^g2 d^b2) = eta(b1, g2) q**pairing(b1, b2) s^(g1+g2) d^(b1+b2)
 
+A word acts on a monomial as one monomial too (act_key), with C the
+commutation exponent, eta(a, b) = q**C(a, b):
+
+    s^g d^b x^a = prod_i a_i(a_i - 1)...(a_i - b_i + 1)
+                  * q**(C(a - b, g) - pairing(b, a)) * x^(a - b),
+
+which is 0 when some 0 <= a_i < b_i.  Proof: the derivatives act
+rightmost first, d_n^b_n before d_(n-1)^b_(n-1) and so on.  The factor
+eta(abar_i, e_i) = q**(sum_{j<i} (i-j) a_j) of d_i reads only the entries
+left of slot i, which the derivatives applied before it never change.  So
+d_i^b_i gives the falling factorial of a_i times
+q**(b_i sum_{j<i} (i-j) a_j), and these exponents sum to -pairing(b, a).
+The sigma block then scales x^(a-b) by eta(a - b, g).  For a_1 < 0 the
+falling factorial is (-1)^b_1 |a_1|(|a_1|+1)...(|a_1|+b_1-1).  derive,
+sigma, Operator.apply and the exterior derivative all act through this one
+key map.
+
 reduce_word re-derives normal forms one adjacent rewrite at a time under a
 configurable strategy, so the test suite can confirm the rewriting system is
 confluent rather than assuming it.
@@ -31,22 +48,34 @@ confluent rather than assuming it.
 
 from __future__ import annotations
 
+from functools import partial
+from math import perm
+
 from .bicharacter import (basis_vector, commutation_exponent, commutation_factor,
-                          pairing, vector_add, vector_neg)
+                          pairing, vector_add)
 from .qspace import Element, monomials_up_to, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar
-from .tensors import SpaceSparse
+from .tensors import SpaceSparse, collect
 
 
-def derive_key(i: int, e_i, alpha):
-    """The key map of d_i: x^a -> (a_i, k, a - e_i) with q**k = eta(abar_i, e_i),
-    or None when a_i = 0."""
-    a_i = alpha[i - 1]
-    if a_i == 0:
-        return None
-    abar = alpha[: i - 1] + (0,) * (len(alpha) - i + 1)
-    return a_i, commutation_exponent(abar, e_i), alpha[: i - 1] + (a_i - 1,) + alpha[i:]
+def act_key(word, alpha):
+    """The key map x^a -> (c, k, a - beta) of the word (gamma, beta), or None if it kills x^a."""
+    gamma, beta = word
+    c = 1
+    # Right to left, as the derivatives act: a killing slot is met before the factorials left of it.
+    for a_i, b_i in zip(reversed(alpha), reversed(beta)):
+        if b_i:
+            if 0 <= a_i < b_i:
+                return None
+            c *= perm(a_i, b_i) if a_i >= 0 else (-1) ** b_i * perm(b_i - a_i - 1, b_i)
+    key = tuple([a - b for a, b in zip(alpha, beta)])
+    k = 0
+    for i in range(1, len(key)):
+        g_i, b_i, m_i = gamma[i], beta[i], key[i]
+        for j in range(i):
+            k += (j - i) * (m_i * gamma[j] - g_i * key[j] - b_i * alpha[j])
+    return c, k, key
 
 
 def derive(i: int, f: Element) -> Element:
@@ -54,8 +83,7 @@ def derive(i: int, f: Element) -> Element:
     n = f.n
     if not 1 <= i <= n:
         raise ValueError(f"derivative index {i} out of range 1..{n}")
-    e_i = basis_vector(n, i)
-    return f.map_keys(lambda alpha: derive_key(i, e_i, alpha))
+    return f.map_keys(partial(act_key, ((0,) * n, basis_vector(n, i))))
 
 
 def sigma(beta, f: Element) -> Element:
@@ -63,7 +91,7 @@ def sigma(beta, f: Element) -> Element:
     beta = tuple(beta)
     if len(beta) != f.n:
         raise ValueError(f"dimension mismatch: {len(beta)} != {f.n}")
-    return f.map_keys(lambda alpha: (1, commutation_exponent(alpha, beta), alpha))
+    return f.map_keys(partial(act_key, (beta, (0,) * f.n)))
 
 
 def word_key_mul(k1, k2):
@@ -72,17 +100,6 @@ def word_key_mul(k1, k2):
     g2, b2 = k2
     exponent = commutation_exponent(b1, g2) + pairing(b1, b2)
     return 1, exponent, (vector_add(g1, g2), vector_add(b1, b2))
-
-
-def _validate_word(n, gamma, beta):
-    gamma, beta = tuple(gamma), tuple(beta)
-    if len(gamma) != n or len(beta) != n:
-        raise ValueError(f"word exponents must have length {n}")
-    if any(not isinstance(e, int) for e in gamma + beta):
-        raise TypeError("word exponents must be int")
-    if any(e < 0 for e in beta):
-        raise ValueError("derivative exponents must be nonnegative")
-    return gamma, beta
 
 
 class Operator(SpaceSparse):
@@ -96,8 +113,14 @@ class Operator(SpaceSparse):
     _merge = staticmethod(word_key_mul)
 
     def _check_key(self, key):
-        gamma, beta = key
-        return _validate_word(self.n, gamma, beta)
+        gamma, beta = tuple(key[0]), tuple(key[1])
+        if len(gamma) != self.n or len(beta) != self.n:
+            raise ValueError(f"word exponents must have length {self.n}")
+        if any(not isinstance(e, int) for e in gamma + beta):
+            raise TypeError("word exponents must be int")
+        if any(e < 0 for e in beta):
+            raise ValueError("derivative exponents must be nonnegative")
+        return gamma, beta
 
     def _unit_key(self):
         z = (0,) * self.n
@@ -120,11 +143,10 @@ class Operator(SpaceSparse):
         return cls.word(n, tuple(power if k == i - 1 else 0 for k in range(n)), (0,) * n)
 
     def apply(self, f: Element) -> Element:
-        """Act on an algebra element: derivatives rightmost-first, then the
-        sigma block, then the coefficient."""
+        """Act on an algebra element, each word on each monomial by act_key."""
         if f.n != self.n:
             raise ValueError(f"dimension mismatch: {self.n} != {f.n}")
-        return self.linear(lambda word: apply_word(word, f), f)
+        return f._like(collect(self._products(f, act_key)))
 
     @staticmethod
     def _key_str(word):
@@ -137,18 +159,6 @@ class Operator(SpaceSparse):
     @staticmethod
     def _key_from_json(term):
         return tuple(term["gamma"]), tuple(term["beta"])
-
-
-def apply_word(word, f: Element) -> Element:
-    """Act with the word sigma^gamma d^beta on f: derivatives rightmost-first,
-    then the sigma block."""
-    gamma, beta = word
-    for i in range(len(beta), 0, -1):
-        for _ in range(beta[i - 1]):
-            f = derive(i, f)
-        if not f:
-            return f
-    return sigma(gamma, f) if any(gamma) else f
 
 
 def word_str(gamma, beta) -> str | None:
@@ -248,23 +258,21 @@ def random_letters(rng, n: int, max_len: int = 6):
     return letters
 
 
+def _bounded(n: int, budget: int, signed: bool):
+    """The n-vectors with sum of |entries| <= budget, in lexicographic order,
+    each with the budget it leaves; entries >= 0 unless signed."""
+    if n == 0:
+        yield (), budget
+        return
+    for e in range(-budget if signed else 0, budget + 1):
+        for rest, left in _bounded(n - 1, budget - abs(e), signed):
+            yield (e,) + rest, left
+
+
 def words_up_to(n: int, degree: int):
     """All normal-form word keys (gamma, beta) with sum|gamma| + sum(beta) <= degree."""
-    out = []
-    def rec_gamma(i, remaining, prefix):
-        if i == n:
-            rec_beta(0, remaining, prefix, [])
-            return
-        for e in range(-remaining, remaining + 1):
-            rec_gamma(i + 1, remaining - abs(e), prefix + [e])
-    def rec_beta(i, remaining, gamma, prefix):
-        if i == n:
-            out.append((tuple(gamma), tuple(prefix)))
-            return
-        for e in range(remaining + 1):
-            rec_beta(i + 1, remaining - e, gamma, prefix + [e])
-    rec_gamma(0, degree, [])
-    return out
+    return [(gamma, beta) for gamma, left in _bounded(n, degree, True)
+            for beta, _ in _bounded(n, left, False)]
 
 
 # ---------------------------------------------------------------------------

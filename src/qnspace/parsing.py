@@ -18,7 +18,8 @@ type is:
 
 Negative powers are allowed only on q, x1 and s<k>; the wedge '/\\' is a
 product only between form-valued subexpressions.  Parentheses nest at most
-MAX_PAREN_DEPTH deep.
+MAX_PAREN_DEPTH deep, and a power of a rational literal may take at most
+MAX_LITERAL_POWER_BITS bits.
 """
 
 from __future__ import annotations
@@ -131,6 +132,10 @@ class Add:
 # evaluator, so deeper input is refused rather than left to hit the
 # interpreter's recursion limit.
 MAX_PAREN_DEPTH = 100
+
+# A power of a rational literal is computed exactly, so |exponent| times the
+# larger bit length of its numerator and denominator may be at most this.
+MAX_LITERAL_POWER_BITS = 1 << 20
 
 
 class _Parser:
@@ -302,10 +307,14 @@ def _evaluate(node, context: str, n: int):
         if isinstance(node.base, Gen):
             return _atom(node.base, context, n, node.exponent)
         if isinstance(node.base, Num):
-            if node.base.value == 0 and node.exponent < 0:
+            value, exponent = node.base.value, node.exponent
+            if value == 0 and exponent < 0:
                 raise ParseError("cannot invert 0", node.position)
-            return _lift_scalar(
-                LaurentScalar.from_rational(node.base.value**node.exponent), context, n)
+            bits = abs(exponent) * max(value.numerator.bit_length(), value.denominator.bit_length())
+            if bits > MAX_LITERAL_POWER_BITS:
+                raise ParseError(f"literal power of {bits} bits exceeds {MAX_LITERAL_POWER_BITS}",
+                                 node.position)
+            return _lift_scalar(LaurentScalar.from_rational(value**exponent), context, n)
         raise ParseError("powers apply to atoms only", node.position)
     if isinstance(node, Add):
         value = _evaluate(node.terms[0], context, n)

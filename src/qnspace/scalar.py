@@ -155,8 +155,8 @@ class LaurentScalar:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
         out = LaurentScalar.one()
-        for _ in range(exponent):
-            out = out * self
+        while exponent and out:
+            out, exponent = out * self, exponent - 1
         return out
 
     def __eq__(self, other) -> bool:

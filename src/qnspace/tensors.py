@@ -101,8 +101,7 @@ class Sparse:
         k, c = single
         return self._like({key: v.shift(c, k) for key, v in self.terms.items()})
 
-    def _products(self, other):
-        merge = self._merge
+    def _products(self, other, merge):
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 merged = merge(k1, k2)
@@ -116,7 +115,7 @@ class Sparse:
         if type(other) is not type(self):
             return NotImplemented
         self._check_space(other)
-        return self._like(collect(self._products(other)))
+        return self._like(collect(self._products(other, self._merge)))
 
     def __rmul__(self, other):
         # Scalars commute with everything; the product of two values is __mul__.
@@ -182,8 +181,8 @@ class SpaceSparse(Sparse):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("only nonnegative integer powers are supported")
         out = self.one(self.n)
-        for _ in range(exponent):
-            out = out * self
+        while exponent and out:
+            out, exponent = out * self, exponent - 1
         return out
 
     def __str__(self) -> str:

@@ -1,9 +1,6 @@
 import random
-import signal
 from itertools import product
 from math import comb
-
-import pytest
 
 from qnspace.bicharacter import basis_vector, vector_neg
 from qnspace.hopf import (_monomial_coproduct, _word_coproduct, antipode,
@@ -108,21 +105,6 @@ def test_closed_forms_match_reference_builders():
         u = Operator(n, {word: 1})
         assert coproduct(u) == reference_word_coproduct(n, word), word
         assert antipode(u) == reference_word_antipode(n, word), word
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that runs longer than a few seconds (POSIX only)."""
-    if not hasattr(signal, "SIGALRM"):
-        pytest.skip("needs signal.SIGALRM")
-
-    def expire(signum, frame):
-        raise TimeoutError("ran out of its time budget")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def test_coproduct_of_large_x1_power(deadline):

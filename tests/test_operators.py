@@ -1,17 +1,61 @@
 import random
+from math import factorial
 
 import pytest
 
-from qnspace.bicharacter import basis_vector, commutation_factor
+from qnspace.bicharacter import basis_vector, commutation_exponent, commutation_factor
 from qnspace.operators import (Operator, check_derivations, check_operator_algebra,
                                derive, letters_to_operator, random_letters,
-                               reduce_word, sigma, weyl_relation_check, word_letters)
-from qnspace.qspace import Element, random_element, random_exponent
+                               reduce_word, sigma, weyl_relation_check, word_letters,
+                               words_up_to)
+from qnspace.qspace import Element, monomial_box, random_element, random_exponent
 from qnspace.scalar import LaurentScalar
 
 
 def x(n, i):
     return Element.generator(n, i)
+
+
+# ---------------------------------------------------------------------------
+# Reference action: a word applied one derivative at a time, each d_i a key
+# map of its own.  It is the oracle of the closed form in qnspace.operators.
+
+def reference_derive_key(i, e_i, alpha):
+    a_i = alpha[i - 1]
+    if a_i == 0:
+        return None
+    abar = alpha[: i - 1] + (0,) * (len(alpha) - i + 1)
+    return a_i, commutation_exponent(abar, e_i), alpha[: i - 1] + (a_i - 1,) + alpha[i:]
+
+
+def reference_apply_word(word, f):
+    gamma, beta = word
+    for i in range(len(beta), 0, -1):
+        e_i = basis_vector(f.n, i)
+        for _ in range(beta[i - 1]):
+            f = f.map_keys(lambda alpha: reference_derive_key(i, e_i, alpha))
+        if not f:
+            return f
+    return f.map_keys(lambda alpha: (1, commutation_exponent(alpha, gamma), alpha))
+
+
+def test_closed_form_action_matches_reference():
+    cases = [(n, 2, 3) for n in (1, 2, 3)] + [(4, 1, 2)]
+    for n, box, degree in cases:
+        monomials = [Element.monomial(n, alpha) for alpha in monomial_box(n, box)]
+        for word in words_up_to(n, degree):
+            u = Operator(n, {word: 1})
+            for f in monomials:
+                assert u.apply(f) == reference_apply_word(word, f), (word, f)
+
+
+def test_action_with_large_exponents(deadline):
+    for exponent in (10**6, 10**12):
+        assert not Operator.word(2, (0, 0), (0, exponent)).apply(x(2, 2))
+    # d2 kills x1^N before the falling factorial N! of d1^N is formed.
+    assert not Operator.word(2, (0, 0), (10**6, 1)).apply(Element.monomial(2, (10**6, 0)))
+    f = Element.monomial(1, (-1,))
+    assert Operator.word(1, (0,), (1000,)).apply(f) == Element.monomial(1, (-1001,), factorial(1000))
 
 
 def test_derivative_on_laurent_powers():

@@ -119,6 +119,25 @@ def test_wedge_powers_collapse():
     assert parse("dx1^0", "form", 2) == Form.from_element(Element.one(2))
 
 
+def test_powers_stop_once_they_reach_zero(deadline):
+    assert not parse("dx1^10000000", "form", 2)
+    assert not Element.zero(2) ** 10**7
+    assert not LaurentScalar.zero() ** 10**7
+
+
+def test_literal_power_size_is_bounded(deadline):
+    from qnspace.parsing import MAX_LITERAL_POWER_BITS
+
+    assert parse("2^-2 x1", "algebra", 2) == Element.generator(2, 1).scale(Fraction(1, 4))
+    # 2 has bit length 2, so the bound admits exactly 2^(MAX_LITERAL_POWER_BITS / 2).
+    half = MAX_LITERAL_POWER_BITS // 2
+    assert parse(f"2^{half}", "scalar", 1) == LaurentScalar.from_rational(2**half)
+    for text in (f"2^{half + 1}", f"1/2^-{half + 1}", "2^100000000000", "3/7^-100000000000"):
+        with pytest.raises(ParseError) as err:
+            parse(text, "scalar", 1)
+        assert "bits" in str(err.value)
+
+
 def test_element_round_trip():
     rng = random.Random(20)
     for _ in range(200):

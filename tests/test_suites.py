@@ -1,6 +1,8 @@
 """run_suites in a worker pool: same reports, canonical order, clean errors,
-no pool imports on the CLI path and no worker outliving its parent."""
+no pool imports on the CLI path and no worker outliving its parent; and a
+digest of every value the suites record."""
 
+import hashlib
 import io
 import json
 import os
@@ -16,6 +18,7 @@ import pytest
 import qnspace
 from qnspace import suites
 from qnspace.cli import main
+from qnspace.report import IdentityReport
 from qnspace.suites import SUITE_ORDER, SUITES, SuiteConfig, run_suites
 
 SMALL = SuiteConfig(n=2, deg=2, trials=3, seed=5)
@@ -104,3 +107,31 @@ def test_workers_do_not_outlive_a_killed_check():
         for pid in workers:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+# SHA-256 of every (identity, inputs, lhs, rhs) the 14 suites record at
+# SuiteConfig(n=3, deg=2, trials=10).  The rendered report shows only counts
+# for passing identities, so a change to what a suite samples or computes
+# would keep the report and change this digest.
+RECORDED_DIGEST = "837b94f73d763b5a49d088324b839dda65af21e16aa53c100bb628327dec16c7"
+RECORDED_CHECKS = 2487
+
+
+def test_suites_record_the_same_values(monkeypatch):
+    digest = hashlib.sha256()
+    seen = []
+
+    def hashed(method):
+        def record(self, inputs, lhs, rhs=""):
+            seen.append(None)
+            digest.update(repr((self.identity, str(inputs), str(lhs), str(rhs))).encode())
+            return method(self, inputs, lhs, rhs)
+        return record
+
+    for name in ("record", "record_differ", "record_true"):
+        monkeypatch.setattr(IdentityReport, name, hashed(getattr(IdentityReport, name)))
+    cfg = SuiteConfig(n=3, deg=2, trials=10)
+    for run in SUITES.values():
+        run(cfg)
+    assert len(seen) == RECORDED_CHECKS
+    assert digest.hexdigest() == RECORDED_DIGEST
