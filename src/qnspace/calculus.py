@@ -12,18 +12,38 @@ directly:
     d(f) = dx_1 d_1(f) + ... + dx_n d_n(f)
 
 On a degree-k wedge monomial, d(dx_W f) = (-1)^k dx_W ^ d(f); d^2 = 0 and the
-graded Leibniz rule then hold exactly (and are checked, not assumed).  The
-coactions send a 1-form into a mixed tensor with the form in one slot:
-delta_right(dx_i) applies d to the left leg of the coproduct of x_i,
-delta_left to the right leg, both extended by the bimodule rule
-delta(a p b) = D(a) delta(p) D(b).
+graded Leibniz rule then hold exactly (and are checked, not assumed).
+
+The coactions send a form of degree <= 1 into a mixed tensor with the form
+in one slot.  Both act as the coproduct D on degree 0; delta_right(dx_i)
+applies d to the left leg of D(x_i), delta_left(dx_i) to the right leg, and
+both extend by the bimodule rule delta(a p b) = D(a) delta(p) D(b).  On a
+basis key delta_right is a closed form: for each term c x^L (x) x^R of
+D(x^a) (hopf._monomial_coproduct),
+
+    delta_right(x^a)      has the term   c x^L (x) x^R            (form x^L of degree 0)
+    delta_right(dx_i x^a) has the terms  c dx_i x^L (x) x^(R+e1)
+                          and, i >= 2,   c q^pairing(e_i, R) dx_1 x^L (x) x^(R+e_i)
+
+Proof.  delta_right(dx_i x^a) = delta_right(dx_i) D(x^a), and
+delta_right(dx_i) = (d x id)(x_i (x) x1 + x1 (x) x_i) = dx_i (x) x1 + dx1 (x) x_i
+(dx1 (x) x1 for i = 1).  A bare dx_j times x^L is dx_j x^L with no power of q
+(form_key_mul has no coefficient to move past dx_j), x1 x^R = x^(R+e1) as
+pairing(e1, .) = 0, and x_i x^R = q^pairing(e_i, R) x^(R+e_i).
+
+delta_left = tau delta_right, with tau the flip of the two slots.  D is
+cocommutative (tau D = D, checked by hopf-aqn), so the two agree on degree
+0, and on dx_i as (id x d) D(x_i) = (id x d) tau D(x_i) = tau (d x id) D(x_i).
+tau is multiplicative on 2-slot tensors, so it carries the bimodule
+extension of delta_right to that of delta_left.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import partial
 
-from .bicharacter import basis_vector, commutation_exponent, pairing, vector_add
+from .bicharacter import basis_vector, commutation_exponent, commutation_factor, pairing, vector_add
+from .hopf import _coproduct_expand_aq, _counit_key_aq, _monomial_coproduct, coproduct, tau
 from .operators import act_key, sigma
 from .qspace import Element, monomial_key_mul, monomial_str, random_element, random_exponent
 from .report import CheckReport
@@ -234,60 +254,39 @@ def exterior_d(u) -> Form:
 # Coactions (first-order scope: form degree <= 1).  The right coaction puts
 # the form in slot 0 and the algebra in slot 1; the left one the other way.
 
-def _with_form_slot(form_slot: int, form, other) -> tuple:
-    return (form, other) if form_slot == 0 else (other, form)
+_RIGHT_MULS = (form_key_mul, monomial_key_mul)
+_LEFT_MULS = _RIGHT_MULS[::-1]
 
 
-def _coaction_muls(form_slot: int) -> tuple:
-    return _with_form_slot(form_slot, form_key_mul, monomial_key_mul)
-
-
-def _embed_coproduct(n: int, alpha, form_slot: int) -> Tensor:
-    """The coproduct of x^alpha with the leg in form_slot viewed as a degree-0 form."""
-    from .hopf import _monomial_coproduct
-
-    return Tensor(_coaction_muls(form_slot), {
-        _with_form_slot(form_slot, ((), keys[form_slot]), keys[1 - form_slot]): c
-        for keys, c in _monomial_coproduct(n, alpha).terms.items()})
-
-
-@lru_cache(maxsize=None)
-def _coaction_generator(n: int, i: int, form_slot: int) -> Tensor:
-    """d applied to the form_slot leg of the coproduct of x_i: (d x id) D(x_i)
-    for the right coaction, (id x d) D(x_i) for the left one."""
-    from .hopf import _monomial_coproduct
-
-    return Tensor(_coaction_muls(form_slot), [
-        (_with_form_slot(form_slot, key, keys[1 - form_slot]), coeff.shift(c, k))
-        for keys, coeff in _monomial_coproduct(n, basis_vector(n, i)).terms.items()
-        for c, k, key in _d_monomial(n, keys[form_slot])])
-
-
-def _coaction_key(n: int, key, form_slot: int) -> Tensor:
-    """The coaction of the basis form dx_W x^alpha, |W| <= 1: D(x^alpha) on
-    degree 0, and the generator of x_i times D(x^alpha) on dx_i x^alpha."""
+def _right_coaction_key(n: int, key) -> Tensor:
+    """delta_right of the basis form dx_W x^alpha, |W| <= 1, from the terms of
+    D(x^alpha) (the closed form of the module docstring)."""
     wedge, alpha = key
-    t = _embed_coproduct(n, alpha, form_slot)
-    return _coaction_generator(n, wedge[0], form_slot) * t if wedge else t
-
-
-def _coaction(u, form_slot: int) -> Tensor:
-    if isinstance(u, Element):
-        u = Form.from_element(u)
-    if u.max_degree() > 1:
-        raise ValueError("coactions are defined on forms of degree <= 1")
-    return u.linear(lambda key: _coaction_key(u.n, key, form_slot), Tensor(_coaction_muls(form_slot)))
+    terms = _monomial_coproduct(n, alpha).terms.items()
+    if not wedge:
+        return Tensor(_RIGHT_MULS)._like({(((), left), right): c for (left, right), c in terms})
+    (i,) = wedge
+    e1, e_i = basis_vector(n, 1), basis_vector(n, i)
+    out = {((wedge, left), vector_add(right, e1)): c for (left, right), c in terms}
+    if i >= 2:
+        out.update({(((1,), left), vector_add(right, e_i)): c.shift(1, pairing(e_i, right))
+                    for (left, right), c in terms})
+    return Tensor(_RIGHT_MULS)._like(out)
 
 
 def delta_right(u) -> Tensor:
     """Right coaction: form slot left, algebra slot right.  Acts as the
     coproduct on degree 0 and sends dx_i f to ((d x id) D(x_i)) D(f)."""
-    return _coaction(u, 0)
+    if isinstance(u, Element):
+        u = Form.from_element(u)
+    if u.max_degree() > 1:
+        raise ValueError("coactions are defined on forms of degree <= 1")
+    return u.linear(partial(_right_coaction_key, u.n), Tensor(_RIGHT_MULS))
 
 
 def delta_left(u) -> Tensor:
-    """Left coaction: algebra slot left, form slot right."""
-    return _coaction(u, 1)
+    """Left coaction: algebra slot left, form slot right; the flip of delta_right."""
+    return tau(delta_right(u))
 
 
 def form_slot_to_form(t: Tensor, n: int) -> Form:
@@ -300,10 +299,6 @@ def _d_key_expansion(n: int):
     def fn(alpha):
         return [(LaurentScalar.q_power(k, c), (key,)) for c, k, key in _d_monomial(n, alpha)]
     return fn
-
-
-def _coaction_expansion(n: int, form_slot: int):
-    return expansion(lambda key: _coaction_key(n, key, form_slot))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +322,6 @@ def check_calculus(n: int, samples: int = 200, seed: int = 0) -> CheckReport:
     report = CheckReport(f"calculus(n={n})")
 
     module_rel = report.new("bimodule: x_i dx_j = eta(e_i,e_j) dx_j x_i")
-    from .bicharacter import commutation_factor
-
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             x_i = Element.generator(n, i)
@@ -386,12 +379,11 @@ def check_bicovariance(n: int, samples: int = 100, seed: int = 0) -> CheckReport
     relation preservation, the bimodule rule, and agreement with d."""
     import random
 
-    from .bicharacter import commutation_factor
-    from .hopf import _coproduct_expand_aq, _counit_key_aq, coproduct
-
     rng = random.Random(f"{seed}:bicovariance:{n}")
     report = CheckReport(f"bicovariance(n={n})")
     aq2 = (monomial_key_mul, monomial_key_mul)
+    right_expand = expansion(partial(_right_coaction_key, n))
+    left_expand = expansion(lambda key: tau(_right_coaction_key(n, key)))
 
     basis_forms = [Form.dx(n, i) for i in range(1, n + 1)]
     basis_forms += [Form.dx(n, i) * Element.generator(n, j)
@@ -406,15 +398,15 @@ def check_bicovariance(n: int, samples: int = 100, seed: int = 0) -> CheckReport
     for idx, u in enumerate(basis_forms):
         inputs = f"u={u}"
         tr = delta_right(u)
-        lhs = tr.expand_slot(0, _coaction_expansion(n, 0), _coaction_muls(0))
+        lhs = tr.expand_slot(0, right_expand, _RIGHT_MULS)
         rhs = tr.expand_slot(1, _coproduct_expand_aq(n), aq2)
         right_axiom.record(inputs, lhs, rhs)
         tl = delta_left(u)
-        lhs = tl.expand_slot(1, _coaction_expansion(n, 1), _coaction_muls(1))
+        lhs = tl.expand_slot(1, left_expand, _LEFT_MULS)
         rhs = tl.expand_slot(0, _coproduct_expand_aq(n), aq2)
         left_axiom.record(inputs, lhs, rhs)
-        lhs = tl.expand_slot(1, _coaction_expansion(n, 0), _coaction_muls(0))
-        rhs = tr.expand_slot(0, _coaction_expansion(n, 1), _coaction_muls(1))
+        lhs = tl.expand_slot(1, right_expand, _RIGHT_MULS)
+        rhs = tr.expand_slot(0, left_expand, _LEFT_MULS)
         bicomodule.record(inputs, lhs, rhs)
         counit_leg.record(inputs, form_slot_to_form(tr.contract_slot(1, _counit_key_aq), n), u)
         counit_leg.record(inputs, form_slot_to_form(tl.contract_slot(0, _counit_key_aq), n), u)
@@ -462,10 +454,8 @@ def check_bicovariance(n: int, samples: int = 100, seed: int = 0) -> CheckReport
     for _ in range(max(1, samples // 2)):
         f = random_element(rng, n, 2)
         t = coproduct(f)
-        expected_right = Tensor((form_key_mul, monomial_key_mul),
-                                {(((), a), b): c for (a, b), c in t.terms.items()})
-        expected_left = Tensor((monomial_key_mul, form_key_mul),
-                               {(a, ((), b)): c for (a, b), c in t.terms.items()})
+        expected_right = Tensor(_RIGHT_MULS, {(((), a), b): c for (a, b), c in t.terms.items()})
+        expected_left = Tensor(_LEFT_MULS, {(a, ((), b)): c for (a, b), c in t.terms.items()})
         degree_zero.record(f"f={f}", delta_right(f), expected_right)
         degree_zero.record(f"f={f}", delta_left(f), expected_left)
     return report

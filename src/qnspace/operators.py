@@ -53,7 +53,7 @@ from math import perm
 
 from .bicharacter import (basis_vector, commutation_exponent, commutation_factor,
                           pairing, vector_add)
-from .qspace import Element, monomials_up_to, random_element, random_exponent
+from .qspace import Element, _bounded, monomial_box, monomials_up_to, random_element, random_exponent
 from .report import CheckReport
 from .scalar import LaurentScalar
 from .tensors import SpaceSparse, collect
@@ -258,17 +258,6 @@ def random_letters(rng, n: int, max_len: int = 6):
     return letters
 
 
-def _bounded(n: int, budget: int, signed: bool):
-    """The n-vectors with sum of |entries| <= budget, in lexicographic order,
-    each with the budget it leaves; entries >= 0 unless signed."""
-    if n == 0:
-        yield (), budget
-        return
-    for e in range(-budget if signed else 0, budget + 1):
-        for rest, left in _bounded(n - 1, budget - abs(e), signed):
-            yield (e,) + rest, left
-
-
 def words_up_to(n: int, degree: int):
     """All normal-form word keys (gamma, beta) with sum|gamma| + sum(beta) <= degree."""
     return [(gamma, beta) for gamma, left in _bounded(n, degree, True)
@@ -283,7 +272,6 @@ def weyl_relation_check(n: int, deg_bound: int = 4) -> CheckReport:
     every monomial in the box |a1| <= deg_bound, 0 <= a_i <= deg_bound."""
     if deg_bound < 1:
         raise ValueError("deg_bound must be >= 1")
-    from .qspace import monomial_box
 
     report = CheckReport(f"weyl(n={n})")
     rel = report.new("weyl: d_i(x_j f) = delta_ij f + eta(e_j,e_i) x_j d_i(f)")

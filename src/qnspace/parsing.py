@@ -240,7 +240,8 @@ def parse_multiindex(text: str, n: int) -> tuple[int, ...]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid multi-index {text!r}: {exc.msg}", exc.pos) from None
-    if not isinstance(data, list) or not all(isinstance(e, int) for e in data):
+    # type() rather than isinstance(): JSON true and false are bools, which are ints.
+    if not isinstance(data, list) or not all(type(e) is int for e in data):
         raise ParseError(f"multi-index must be a list of integers, got {text!r}", 0)
     if len(data) != n:
         raise ParseError(f"multi-index length {len(data)} does not match dimension {n}", 0)

@@ -15,6 +15,7 @@ transposition; it is kept as an independent cross-check of the merge rule
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .bicharacter import commutation_exponent, commutation_factor, pairing, vector_add
 from .report import CheckReport
@@ -163,15 +164,18 @@ def swap_scalar(a, b) -> LaurentScalar:
 
 def monomial_box(n: int, bound: int):
     """All exponent vectors with |a1| <= bound and 0 <= a_i <= bound (i >= 2)."""
-    def rec(i):
-        if i == n:
-            yield ()
-            return
-        low = -bound if i == 0 else 0
-        for e in range(low, bound + 1):
-            for rest in rec(i + 1):
-                yield (e,) + rest
-    return list(rec(0))
+    return list(product(range(-bound, bound + 1), *[range(bound + 1)] * (n - 1)))
+
+
+def _bounded(n: int, budget: int, signed: bool):
+    """The n-vectors with sum of |entries| <= budget, in lexicographic order,
+    each with the budget it leaves; entries >= 0 unless signed."""
+    if n == 0:
+        yield (), budget
+        return
+    for e in range(-budget if signed else 0, budget + 1):
+        for rest, left in _bounded(n - 1, budget - abs(e), signed):
+            yield (e,) + rest, left
 
 
 def monomials_up_to(n: int, degree: int, x1_min: int | None = None):
@@ -180,20 +184,8 @@ def monomials_up_to(n: int, degree: int, x1_min: int | None = None):
     a1 ranges over negative values too (bounded below by x1_min if given).
     """
     low1 = -degree if x1_min is None else max(x1_min, -degree)
-    out = []
-    def rec(i, remaining, prefix):
-        if i == n:
-            out.append(tuple(prefix))
-            return
-        if i == 0:
-            for e in range(low1, degree + 1):
-                if abs(e) <= remaining:
-                    rec(1, remaining - abs(e), [e])
-        else:
-            for e in range(remaining + 1):
-                rec(i + 1, remaining - e, prefix + [e])
-    rec(0, degree, [])
-    return out
+    return [(a1,) + rest for a1 in range(low1, degree + 1)
+            for rest, _ in _bounded(n - 1, degree - abs(a1), False)]
 
 
 def random_exponent(rng, n: int, x1_low: int = -3, x1_high: int = 4, rest_high: int = 4) -> tuple[int, ...]:

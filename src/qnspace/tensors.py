@@ -284,7 +284,7 @@ class Tensor(Sparse):
         return self._like(self.terms, slot_muls=_replace(self.slot_muls, pos, 2, (mul,))).map_keys(on_keys)
 
     def swap_slots(self, i: int, j: int) -> "Tensor":
-        """The flip map on slots i and j (slot kinds must match)."""
+        """The flip map on slots i and j; each slot's merge moves with its keys."""
         def swapped(seq):
             out = list(seq)
             out[i], out[j] = out[j], out[i]

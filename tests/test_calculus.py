@@ -6,8 +6,9 @@ from qnspace.bicharacter import basis_vector, commutation_factor
 from qnspace.calculus import (Form, check_bicovariance, check_calculus,
                               delta_left, delta_right, exterior_d, form_key_mul,
                               form_slot_to_form, push_coeff_right, random_form)
+from qnspace.hopf import coproduct
 from qnspace.operators import sigma
-from qnspace.qspace import Element, monomial_key_mul, random_element
+from qnspace.qspace import Element, monomial_box, monomial_key_mul, random_element
 from qnspace.scalar import LaurentScalar
 from qnspace.tensors import Tensor
 
@@ -136,6 +137,37 @@ def test_coaction_on_basis_forms():
     # dL(dx1) = x1 (x) dx1
     t = delta_left(Form.dx(n, 1))
     assert t == Tensor((monomial_key_mul, form_key_mul), {((1, 0), ((1,), (0, 0))): 1})
+
+
+def _composed_coaction(n, wedge, alpha, form_slot):
+    """The coaction of dx_W x^alpha, |W| <= 1, composed from its definition:
+    d on the form_slot leg of D(x_i), times D(x^alpha) with that leg read as
+    a degree-0 form."""
+    def slots(form, other):
+        return (form, other) if form_slot == 0 else (other, form)
+
+    muls = slots(form_key_mul, monomial_key_mul)
+    embedded = Tensor(muls, {slots(((), keys[form_slot]), keys[1 - form_slot]): c
+                             for keys, c in coproduct(Element.monomial(n, alpha)).terms.items()})
+    if not wedge:
+        return embedded
+    generator = Tensor(muls, [
+        (slots(form_key, keys[1 - form_slot]), c * c_d)
+        for keys, c in coproduct(x(n, wedge[0])).terms.items()
+        for form_key, c_d in exterior_d(Element.monomial(n, keys[form_slot])).terms.items()])
+    return generator * embedded
+
+
+def test_coactions_match_their_composition():
+    for n, bound in ((1, 2), (2, 2), (3, 2), (4, 1)):
+        for alpha in monomial_box(n, bound):
+            for wedge in [()] + [(i,) for i in range(1, n + 1)]:
+                u = Form.monomial(n, wedge, Element.monomial(n, alpha))
+                for delta, form_slot in ((delta_right, 0), (delta_left, 1)):
+                    expected = _composed_coaction(n, wedge, alpha, form_slot)
+                    t = delta(u)
+                    assert t == expected, (delta.__name__, wedge, alpha)
+                    assert t.slot_muls == expected.slot_muls
 
 
 def test_coaction_counit_leg():

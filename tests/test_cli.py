@@ -112,6 +112,14 @@ def test_parse_error_exit_code():
     assert code == 2
 
 
+def test_boolean_multiindex_exits_2():
+    for index in ("[true,0]", "[0,false]"):
+        code, out, err = run_cli("sigma", index, "x1", "--n", "2")
+        assert code == 2, index
+        assert out == ""
+        assert err == f"error: multi-index must be a list of integers, got '{index}' (at position 0)\n"
+
+
 def test_zero_denominator_exits_2():
     for argv in (["normalize", "1/0"], ["mul", "1/0", "x1"], ["coproduct", "1/0"],
                  ["normalize", "1/0", "--context", "form"]):

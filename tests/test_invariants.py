@@ -3,11 +3,14 @@ import random
 import pytest
 
 from qnspace.calculus import Form, exterior_d
+from qnspace.hopf import coproduct, counit
 from qnspace.invariants import (apply_vector_field, check_maurer_cartan,
                                 check_vector_fields, decompose_maurer_cartan,
                                 degree_scale, maurer_cartan,
-                                maurer_cartan_basis, vf_coproduct_action)
-from qnspace.qspace import Element, random_element, total_degree
+                                maurer_cartan_basis, vf_antipode_action,
+                                vf_coproduct_action)
+from qnspace.operators import derive
+from qnspace.qspace import Element, monomial_box, random_element, total_degree
 from qnspace.scalar import LaurentScalar
 
 
@@ -97,6 +100,25 @@ def test_vector_field_values():
     assert apply_vector_field(2, x(n, 2)) == x(n, 1)
 
 
+def _composed_vector_field(i, f):
+    """T_1 = sum_j x_j d_j and T_i = x1 d_i, composed from derive and products."""
+    n = f.n
+    if i > 1:
+        return x(n, 1) * derive(i, f)
+    out = Element.zero(n)
+    for j in range(1, n + 1):
+        out = out + x(n, j) * derive(j, f)
+    return out
+
+
+def test_vector_fields_match_their_composition():
+    for n, bound in ((1, 2), (2, 2), (3, 2), (4, 1)):
+        for alpha in monomial_box(n, bound):
+            f = Element.monomial(n, alpha)
+            for i in range(1, n + 1):
+                assert apply_vector_field(i, f) == _composed_vector_field(i, f), (i, alpha)
+
+
 def test_vector_field_diagonal_on_laurent():
     n = 2
     f = Element.monomial(n, (-2, 1))
@@ -180,6 +202,19 @@ def test_coproduct_primitive_for_t1_and_at_q1():
             lhs = vf_coproduct_action(i, f, g).evaluate_coeffs(1)
             rhs = (apply_vector_field(i, f) * g + f * apply_vector_field(i, g)).evaluate_coeffs(1)
             assert lhs == rhs
+
+
+def test_antipode_of_vector_fields_from_hopf_data():
+    # T_i f = sum e(T_i f_1) f_2, and S(T_i) = -Q(1-i) T_i with S(T_i) read
+    # off D and S of the coordinate algebra.
+    for n in (1, 2, 3):
+        for alpha in monomial_box(n, 2):
+            f = Element.monomial(n, alpha)
+            for i in range(1, n + 1):
+                t_f = apply_vector_field(i, f)
+                assert coproduct(f).linear(lambda keys: Element.monomial(n, keys[1]).scale(
+                    counit(apply_vector_field(i, Element.monomial(n, keys[0])))), f) == t_f
+                assert vf_antipode_action(i, f) == -degree_scale(1 - i, t_f), (i, alpha)
 
 
 def test_decomposition_in_omega_basis():
